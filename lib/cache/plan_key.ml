@@ -8,14 +8,8 @@
    produced the identical plan anyway — which is what makes the plan
    cache invisible in the results (docs/serving.md). *)
 
-let add_int64 b x =
-  for k = 7 downto 0 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right x (k * 8)) 0xFFL)))
-  done
-
-let add_int b n = add_int64 b (Int64.of_int n)
-let add_float b v = add_int64 b (Int64.bits_of_float v)
+let add_int b n = Buffer.add_int64_be b (Int64.of_int n)
+let add_float b v = Buffer.add_int64_be b (Int64.bits_of_float v)
 
 let add_pattern b (pat : Csr.t) =
   add_int b (Csr.rows pat);

@@ -1,9 +1,17 @@
+type structure_memo = {
+  pattern : Csr.t option Atomic.t;
+  ordering : Symbolic.t option Atomic.t;
+}
+
 type t = {
   devices : Device.t array;
   node_names : string array;
   num_branches : int;
   by_name : (string, int) Hashtbl.t; (* device name -> index *)
   node_ids : (string, int) Hashtbl.t; (* node name -> id *)
+  structure : structure_memo;
+      (* Stamp's memo; apply_deltas copies share it, since they share
+         the topology *)
 }
 
 let make ~devices ~node_names ~num_branches =
@@ -19,9 +27,11 @@ let make ~devices ~node_names ~num_branches =
   Hashtbl.add node_ids "0" 0;
   Hashtbl.add node_ids "gnd" 0;
   Array.iteri (fun k name -> Hashtbl.replace node_ids name (k + 1)) node_names;
-  { devices; node_names; num_branches; by_name; node_ids }
+  { devices; node_names; num_branches; by_name; node_ids;
+    structure = { pattern = Atomic.make None; ordering = Atomic.make None } }
 
 let devices t = t.devices
+let structure_memo t = t.structure
 let num_nodes t = Array.length t.node_names
 let num_branches t = t.num_branches
 let size t = num_nodes t + t.num_branches

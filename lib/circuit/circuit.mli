@@ -17,6 +17,16 @@ val num_branches : t -> int
 val size : t -> int
 (** Total number of MNA unknowns. *)
 
+type structure_memo = {
+  pattern : Csr.t option Atomic.t;
+  ordering : Symbolic.t option Atomic.t;
+}
+
+val structure_memo : t -> structure_memo
+(** Where {!Stamp.pattern} and {!Stamp.ordering} keep the circuit's MNA
+    pattern and its fill-reducing ordering.  Copies made by
+    {!apply_deltas} share the slots: they have the same topology. *)
+
 val node_name : t -> int -> string
 (** Name of a node id (≥ 1); node 0 is ["0"]. *)
 

@@ -10,8 +10,10 @@
 
 type t = { buf : Buffer.t }
 
-(* bump when any canonical serialization changes shape *)
-let scheme_version = "fp1"
+(* bump when any canonical serialization changes shape, or when the
+   results a key names change: fp2 retired every result computed with
+   the size-selected dense arithmetic *)
+let scheme_version = "fp2"
 
 let create kind =
   let buf = Buffer.create 256 in

@@ -14,7 +14,9 @@
 type t
 
 val scheme_version : string
-(** Version tag baked into every fingerprint ("fp1"). *)
+(** Version tag baked into every fingerprint ("fp2").  Results cached
+    under "fp1" were computed with dense arithmetic on small circuits,
+    so they must be misses, never replays. *)
 
 val create : string -> t
 (** [create kind] starts an accumulator tagged with the content kind

@@ -216,7 +216,7 @@ let eval circuit ~t ?(gmin = 0.0) ?(src_scale = 1.0) ~x ~g ~jac () =
    full structure.  The diagonal is added in full — voltage-source
    branch rows have structurally zero diagonals, and keeping the
    positions lets gmin homotopy and C/h stamping reuse the pattern. *)
-let pattern circuit =
+let build_pattern circuit =
   let size = Circuit.size circuit in
   let coo = Coo.create ~capacity:(16 * Stdlib.max size 1) size size in
   let x = Array.make size 0.0 in
@@ -233,6 +233,27 @@ let pattern circuit =
     Coo.add coo row row 0.0
   done;
   Coo.to_csr coo
+
+(* one pattern and ordering per topology, memoized on the circuit, so
+   Monte Carlo samples (apply_deltas copies) plan without re-stamping
+   or re-ordering *)
+let memoized slot build =
+  match Atomic.get slot with
+  | Some v -> v
+  | None ->
+    let v = build () in
+    Atomic.set slot (Some v);
+    v
+
+let shared_pattern circuit =
+  memoized (Circuit.structure_memo circuit).pattern (fun () ->
+      build_pattern circuit)
+
+let pattern circuit = Csr.copy (shared_pattern circuit)
+
+let ordering circuit =
+  memoized (Circuit.structure_memo circuit).ordering (fun () ->
+      Symbolic.analyze (shared_pattern circuit))
 
 let injection circuit (p : Circuit.mismatch_param) ~x ?xdot () =
   let v = node_voltage x in

@@ -9,7 +9,7 @@
 val c_matrix : Circuit.t -> Mat.t
 
 val stamp_c : Circuit.t -> add:(int -> int -> float -> unit) -> unit
-(** Stamp the constant C matrix through a callback — the backends build
+(** Stamp the constant C matrix through a callback, so callers build
     dense or sparse storage from the same traversal ({!c_matrix} is
     [stamp_c] into a fresh [Mat.t]). *)
 
@@ -27,8 +27,14 @@ val csr_sink : Csr.t -> jac_sink
 val pattern : Circuit.t -> Csr.t
 (** The structural union of the Jacobian, the C matrix, and the full
     diagonal, with values zeroed.  Bias-independent: every stamp
-    position fires at any [x], so the pattern is built once per
-    circuit and reused for all sparse factorizations. *)
+    position fires at any [x], so the structure is built once per
+    topology (memoized in {!Circuit.structure_memo}, shared by
+    {!Circuit.apply_deltas} copies); each call returns a fresh value
+    array over the shared structure arrays. *)
+
+val ordering : Circuit.t -> Symbolic.t
+(** The default {!Symbolic.analyze} of {!pattern}, memoized next to it
+    on first use. *)
 
 val eval :
   Circuit.t -> t:float -> ?gmin:float -> ?src_scale:float -> x:Vec.t ->

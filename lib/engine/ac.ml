@@ -3,72 +3,51 @@ type input =
   | Isource of string
   | Injection of (int * float) list
 
-type repr =
-  | Adense of { g_mat : Mat.t; c_mat : Mat.t }
-  | Asparse of asparse
-
-and asparse = {
+type t = {
+  circuit : Circuit.t;
+  x_op : Vec.t;
   pat : Csr.t; (* pattern; v holds the stamped G values *)
   c_vals : float array; (* C values aligned with pat's storage *)
   mutable plan : Csplu.plan option;
 }
 
-type t = {
-  circuit : Circuit.t;
-  x_op : Vec.t;
-  repr : repr;
-}
-
-let prepare ?backend ?x_op circuit =
-  let x_op =
-    match x_op with Some x -> x | None -> Dc.solve ?backend circuit
-  in
-  let n = Circuit.size circuit in
-  let g = Vec.create n in
-  let repr =
-    match Linsys.choose (Option.value backend ~default:Linsys.Auto) n with
-    | Linsys.Sparse ->
-      let pat = Stamp.pattern circuit in
-      Stamp.eval circuit ~t:0.0 ~x:x_op ~g ~jac:(Some (Stamp.csr_sink pat)) ();
-      let c_vals = Array.make (Csr.nnz pat) 0.0 in
-      Stamp.stamp_c circuit ~add:(fun i j v ->
-          let p = Csr.index pat i j in
-          c_vals.(p) <- c_vals.(p) +. v);
-      Asparse { pat; c_vals; plan = None }
-    | Linsys.Dense | Linsys.Auto ->
-      let g_mat = Mat.create n n in
-      Stamp.eval circuit ~t:0.0 ~x:x_op ~g ~jac:(Some (Stamp.dense_sink g_mat))
-        ();
-      Adense { g_mat; c_mat = Stamp.c_matrix circuit }
-  in
-  { circuit; x_op; repr }
+let prepare ?x_op circuit =
+  let x_op = match x_op with Some x -> x | None -> Dc.solve circuit in
+  let g = Vec.create (Circuit.size circuit) in
+  let pat = Stamp.pattern circuit in
+  Stamp.eval circuit ~t:0.0 ~x:x_op ~g ~jac:(Some (Stamp.csr_sink pat)) ();
+  let c_vals = Array.make (Csr.nnz pat) 0.0 in
+  Stamp.stamp_c circuit ~add:(fun i j v ->
+      let p = Csr.index pat i j in
+      c_vals.(p) <- c_vals.(p) +. v);
+  { circuit; x_op; pat; c_vals; plan = None }
 
 let operating_point t = t.x_op
 
 (* build the aligned complex values of G + jωC and factorize, planning
    lazily on the first frequency and re-planning once if the recorded
    pivot order goes stale at a very different ω *)
-let sparse_factorize (s : asparse) ~freq =
+let factorize t ~freq =
   let omega = 2.0 *. Float.pi *. freq in
-  let gv = s.pat.Csr.v in
+  let gv = t.pat.Csr.v in
   let zvals =
     Array.init (Array.length gv) (fun p ->
-        Cx.mk gv.(p) (omega *. s.c_vals.(p)))
+        Cx.mk gv.(p) (omega *. t.c_vals.(p)))
   in
   let plan =
-    match s.plan with
+    match t.plan with
     | Some p -> p
     | None ->
-      let p = Linsys.csplu_plan s.pat zvals in
-      s.plan <- Some p;
+      let p = Linsys.csplu_plan t.pat zvals in
+      t.plan <- Some p;
       p
   in
-  match Csplu.factorize plan s.pat zvals with
+  match Csplu.factorize plan t.pat zvals with
   | f -> f
   | exception Csplu.Singular _ ->
-    let p = Linsys.csplu_plan s.pat zvals in
-    s.plan <- Some p;
-    Csplu.factorize p s.pat zvals
+    let p = Linsys.csplu_plan t.pat zvals in
+    t.plan <- Some p;
+    Csplu.factorize p t.pat zvals
 
 let rhs_of_input t input =
   let n = Circuit.size t.circuit in
@@ -88,19 +67,7 @@ let rhs_of_input t input =
      List.iter (fun (row, v) -> rhs.(row) <- Cx.( +: ) rhs.(row) (Cx.re v)) rows);
   rhs
 
-let solve t ~freq ~input =
-  match t.repr with
-  | Adense { g_mat; c_mat } ->
-    let omega = 2.0 *. Float.pi *. freq in
-    let n = Circuit.size t.circuit in
-    let m =
-      Cmat.init n n (fun i j ->
-          Cx.mk (Mat.get g_mat i j) (omega *. Mat.get c_mat i j))
-    in
-    Clu.solve_dense m (rhs_of_input t input)
-  | Asparse s ->
-    let f = sparse_factorize s ~freq in
-    Csplu.solve f (rhs_of_input t input)
+let solve t ~freq ~input = Csplu.solve (factorize t ~freq) (rhs_of_input t input)
 
 let transfer t ~freq ~input ~output =
   let y = solve t ~freq ~input in
@@ -116,15 +83,4 @@ let adjoint t ~freq ~output =
   let n = Circuit.size t.circuit in
   let e = Cvec.create n in
   e.(Circuit.node_row t.circuit output) <- Cx.one;
-  match t.repr with
-  | Adense { g_mat; c_mat } ->
-    let omega = 2.0 *. Float.pi *. freq in
-    let m =
-      Cmat.init n n (fun i j ->
-          Cx.mk (Mat.get g_mat i j) (omega *. Mat.get c_mat i j))
-    in
-    let lu = Clu.factorize m in
-    Clu.solve_transpose lu e
-  | Asparse s ->
-    let f = sparse_factorize s ~freq in
-    Csplu.solve_transpose f e
+  Csplu.solve_transpose (factorize t ~freq) e

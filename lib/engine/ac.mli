@@ -13,10 +13,10 @@ type input =
 type t
 (** A prepared AC context (operating point + factorizable matrices). *)
 
-val prepare : ?backend:Linsys.backend -> ?x_op:Vec.t -> Circuit.t -> t
-(** Linearize at the given (or freshly solved) operating point.
-    [backend] picks the per-frequency solver: dense [Clu] (default for
-    small circuits) or sparse [Csplu] with one shared symbolic plan. *)
+val prepare : ?x_op:Vec.t -> Circuit.t -> t
+(** Linearize at the given (or freshly solved) operating point.  Every
+    frequency is solved by sparse [Csplu] against one shared symbolic
+    plan. *)
 
 val operating_point : t -> Vec.t
 

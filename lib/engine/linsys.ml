@@ -1,43 +1,8 @@
-type backend = Dense | Sparse | Auto
-
-(* All seed circuits sit well below this (largest is 34 unknowns), so
-   Auto keeps them on the bit-exact dense path; above it the O(n³)
-   factorizations start to dominate and sparse wins. *)
-let auto_threshold = 64
-
-let choose backend n =
-  match backend with
-  | Dense -> Dense
-  | Sparse -> Sparse
-  | Auto -> if n >= auto_threshold then Sparse else Dense
-
-let backend_of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | "auto" -> Some Auto
-  | _ -> None
-
-let backend_to_string = function
-  | Dense -> "dense"
-  | Sparse -> "sparse"
-  | Auto -> "auto"
-
-type krylov = Kauto | Kon | Koff
-
-let krylov_of_string = function
-  | "auto" -> Some Kauto
-  | "on" -> Some Kon
-  | "off" -> Some Koff
-  | _ -> None
-
-let krylov_to_string = function Kauto -> "auto" | Kon -> "on" | Koff -> "off"
-
-(* Kauto rides the same size boundary as the dense/sparse choice: below
-   it the dense monodromy is cheap and bit-exact, above it the O(n²·m)
-   variational accumulation is the build bottleneck the matrix-free
-   path exists to kill. *)
-let use_krylov krylov n =
-  match krylov with Kon -> true | Koff -> false | Kauto -> n >= auto_threshold
+(* Ignored: every system is sparse and every periodic wrap matrix-free.
+   The constructors exist only because varbench/trace/vtrace.ml names
+   them. *)
+type backend = Auto
+type krylov = Kauto
 
 (* process-wide count of krylov→dense fallbacks (GMRES stagnation),
    mirroring [degradation_total] so outcome records can surface both *)
@@ -50,18 +15,10 @@ let note_krylov_fallback () =
 
 exception Singular_row of int
 
-type repr =
-  | Rdense of Mat.t
-  | Rsparse of rsparse
-
-and rsparse = {
-  pat : Csr.t;
-  mutable plan : Splu.plan option;
-}
-
 type rsys = {
-  size : int;
-  repr : repr;
+  pat : Csr.t;
+  circuit : Circuit.t;
+  mutable plan : Splu.plan option;
   sink : Stamp.jac_sink;
   mutable degraded : bool;
       (* a sparse factorization persistently failed and the values were
@@ -75,18 +32,10 @@ let degradation_total = Atomic.make 0
 let degradation_count () = Atomic.get degradation_total
 let degraded sys = sys.degraded
 
-let make ?(backend = Auto) circuit =
-  let n = Circuit.size circuit in
-  match choose backend n with
-  | Sparse ->
-    Obs.count "linsys.sys.sparse" 1;
-    let pat = Stamp.pattern circuit in
-    { size = n; repr = Rsparse { pat; plan = None };
-      sink = Stamp.csr_sink pat; degraded = false }
-  | Dense | Auto ->
-    Obs.count "linsys.sys.dense" 1;
-    let m = Mat.create n n in
-    { size = n; repr = Rdense m; sink = Stamp.dense_sink m; degraded = false }
+let make circuit =
+  Obs.count "linsys.sys.sparse" 1;
+  let pat = Stamp.pattern circuit in
+  { pat; circuit; plan = None; sink = Stamp.csr_sink pat; degraded = false }
 
 type rfact = Fdense of Lu.t | Fsparse of Splu.t
 
@@ -109,12 +58,13 @@ let set_plan_cache_capacity n =
   Lru.set_capacity plan_cache n;
   Lru.set_capacity cplan_cache n
 
-let splu_plan ?(counter = "linsys.splu.plans") pat =
+let splu_plan ?(counter = "linsys.splu.plans") ?ordering pat =
   let key = Plan_key.reals ~tag:"splu" pat pat.Csr.v in
   match Lru.find plan_cache key with
   | Some p when Splu.plan_dim p = Csr.rows pat -> p
   | Some _ | None ->
-    let p = Splu.plan pat in
+    let sym = Option.map (fun f -> f ()) ordering in
+    let p = Splu.plan ?sym pat in
     Obs.count counter 1;
     Lru.put plan_cache key p;
     p
@@ -143,69 +93,63 @@ let dense_of_csr pat =
   m
 
 let factorize ?(allow_degradation = true) sys =
-  match sys.repr with
-  | Rdense m -> begin
-    (* dense pivoting never permutes columns, so the failing elimination
-       step k is the original unknown index *)
-    match Lu.factorize m with
-    | lu ->
-      Obs.count "linsys.fact.dense" 1;
-      Fdense lu
-    | exception Lu.Singular k -> raise (Singular_row k)
-  end
-  | Rsparse s -> begin
-    let done_ f =
-      (* replays vs. plans tells whether the KLU-style plan reuse is
-         actually paying off; fill-in is a gauge because it is a
-         property of the current plan, not an accumulating total *)
-      if Obs.enabled () then begin
-        Obs.count "linsys.fact.sparse" 1;
-        Obs.gauge "linsys.splu.nnz_lu" (float_of_int (Splu.nnz_lu f))
-      end;
-      Fsparse f
-    in
-    (* last rung of the factorization ladder: the sparse path failed
-       even after a re-plan, so re-factorize the same values densely.
-       Dense partial pivoting eliminates anything short of a structural
-       singularity, at O(n³) cost — recorded, never silent. *)
-    let degrade k =
-      if not allow_degradation then raise (Singular_row k)
-      else begin
-        Obs.count "linsys.degraded_to_dense" 1;
-        ignore (Atomic.fetch_and_add degradation_total 1 : int);
-        sys.degraded <- true;
-        match Lu.factorize (dense_of_csr s.pat) with
-        | lu -> Fdense lu
-        | exception Lu.Singular k -> raise (Singular_row k)
-      end
-    in
-    let replan_or_degrade () =
-      match splu_plan s.pat with
-      | p -> begin
-        s.plan <- Some p;
-        match Splu.factorize p s.pat with
-        | f -> done_ f
-        | exception Splu.Singular k -> degrade k
-      end
+  let done_ f =
+    (* replays vs. plans tells whether the KLU-style plan reuse is
+       actually paying off; fill-in is a gauge because it is a property
+       of the current plan, not an accumulating total *)
+    if Obs.enabled () then begin
+      Obs.count "linsys.fact.sparse" 1;
+      Obs.gauge "linsys.splu.nnz_lu" (float_of_int (Splu.nnz_lu f))
+    end;
+    Fsparse f
+  in
+  (* last rung of the factorization ladder: the sparse path failed even
+     after a re-plan, so re-factorize the same values densely.  Dense
+     partial pivoting eliminates anything short of a structural
+     singularity, at O(n³) cost — recorded, never silent.  Dense
+     pivoting never permutes columns, so a failing elimination step is
+     the original unknown index. *)
+  let degrade k =
+    if not allow_degradation then raise (Singular_row k)
+    else begin
+      Obs.count "linsys.degraded_to_dense" 1;
+      ignore (Atomic.fetch_and_add degradation_total 1 : int);
+      sys.degraded <- true;
+      match Lu.factorize (dense_of_csr sys.pat) with
+      | lu ->
+        Obs.count "linsys.fact.dense" 1;
+        Fdense lu
+      | exception Lu.Singular k -> raise (Singular_row k)
+    end
+  in
+  let replan_or_degrade () =
+    match
+      splu_plan ~ordering:(fun () -> Stamp.ordering sys.circuit) sys.pat
+    with
+    | p -> begin
+      sys.plan <- Some p;
+      match Splu.factorize p sys.pat with
+      | f -> done_ f
       | exception Splu.Singular k -> degrade k
-    in
-    match Faultsim.fire "linsys.splu" with
-    | Some (Faultsim.Singular k) ->
-      (* injected: the whole sparse path (replay and re-plan) is due to
-         fail — jump straight to the degradation rung *)
-      degrade k
-    | Some (Faultsim.Nan | Faultsim.Exn _ | Faultsim.Clock_skip _) | None -> (
-      match s.plan with
-      | None -> replan_or_degrade ()
-      | Some p -> (
-        match Splu.factorize p s.pat with
-        | f -> done_ f
-        | exception Splu.Singular _ ->
-          (* the recorded pivot order went stale; re-plan on the current
-             values and retry once *)
-          Obs.count "linsys.splu.replans" 1;
-          replan_or_degrade ()))
-  end
+    end
+    | exception Splu.Singular k -> degrade k
+  in
+  match Faultsim.fire "linsys.splu" with
+  | Some (Faultsim.Singular k) ->
+    (* injected: the whole sparse path (replay and re-plan) is due to
+       fail — jump straight to the degradation rung *)
+    degrade k
+  | Some (Faultsim.Nan | Faultsim.Exn _ | Faultsim.Clock_skip _) | None -> (
+    match sys.plan with
+    | None -> replan_or_degrade ()
+    | Some p -> (
+      match Splu.factorize p sys.pat with
+      | f -> done_ f
+      | exception Splu.Singular _ ->
+        (* the recorded pivot order went stale; re-plan on the current
+           values and retry once *)
+        Obs.count "linsys.splu.replans" 1;
+        replan_or_degrade ()))
 
 let solve fact b =
   match fact with Fdense lu -> Lu.solve lu b | Fsparse f -> Splu.solve f b
@@ -219,15 +163,3 @@ let solve_transpose fact b =
   match fact with
   | Fdense lu -> Lu.solve_transpose lu b
   | Fsparse f -> Splu.solve_transpose f b
-
-type rmat = Mdense of Mat.t | Msparse of Csr.t
-
-let cmat_of sys m =
-  match sys.repr with
-  | Rdense _ -> Mdense m
-  | Rsparse _ -> Msparse (Csr.of_dense m)
-
-let rmat_mul_vec_into cm x y =
-  match cm with
-  | Mdense m -> Mat.mul_vec_into m x y
-  | Msparse c -> Csr.mul_vec_into c x y

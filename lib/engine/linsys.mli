@@ -1,38 +1,17 @@
-(** Pluggable linear-solver backend for the MNA engines.
+(** The linear-solver layer of the MNA engines.
 
     Every engine bottoms out in "stamp a Jacobian-shaped matrix,
-    factorize it, solve against it".  [Linsys] makes that storage
-    choice — dense [Mat]/[Lu] (the bit-exact historical reference) or
-    the sparse [Csr]/[Splu] stack — a per-analysis parameter instead of
-    a hard-wired type.  [Auto] picks dense below {!auto_threshold}
-    unknowns, so the seed circuits keep their exact dense arithmetic
-    while large circuits get O(nnz·fill) factorization.  See
-    docs/solver.md. *)
+    factorize it, solve against it".  [Linsys] holds that system in the
+    sparse [Csr]/[Splu] stack at every circuit size; dense [Lu] appears
+    only as the degradation rung of {!factorize}.  See docs/solver.md. *)
 
-type backend = Dense | Sparse | Auto
+type backend = Auto
+(** Ignored.  Kept only because the benchmark's trace driver
+    (varbench/trace/vtrace.ml) still names it when calling
+    {!Spice_run.execute}; to be removed with the next benchmark change. *)
 
-val auto_threshold : int
-(** Size at/above which [Auto] switches to sparse (64). *)
-
-val choose : backend -> int -> backend
-(** Resolve [Auto] against a system size; returns [Dense] or
-    [Sparse]. *)
-
-val backend_of_string : string -> backend option
-val backend_to_string : backend -> string
-
-(** Matrix-free Krylov policy for the periodic boundary-value layer
-    ([Pss] shooting, [Lptv.build]).  [Kon] forces the GMRES path,
-    [Koff] the explicit dense monodromy, [Kauto] switches at
-    {!auto_threshold} like the dense/sparse choice.  See docs/solver.md,
-    "Matrix-free shooting". *)
-type krylov = Kauto | Kon | Koff
-
-val krylov_of_string : string -> krylov option
-val krylov_to_string : krylov -> string
-
-val use_krylov : krylov -> int -> bool
-(** Resolve the policy against a system size. *)
+type krylov = Kauto
+(** Ignored, like {!backend} and for the same single caller. *)
 
 val krylov_fallback_count : unit -> int
 (** Process-wide monotonic count of krylov→dense fallbacks (GMRES
@@ -49,26 +28,18 @@ exception Singular_row of int
 
 (** A stampable system matrix: values are rewritten through [sink]
     every Newton iteration / time step, the structure never changes. *)
-type repr =
-  | Rdense of Mat.t
-  | Rsparse of rsparse
-
-and rsparse = {
-  pat : Csr.t; (* Stamp.pattern structure; v holds the current values *)
-  mutable plan : Splu.plan option; (* built lazily from first values *)
-}
-
 type rsys = {
-  size : int;
-  repr : repr;
+  pat : Csr.t;  (** Stamp.pattern structure; [v] holds the current values *)
+  circuit : Circuit.t;  (** plans reuse its {!Stamp.ordering} *)
+  mutable plan : Splu.plan option;  (** built lazily from first values *)
   sink : Stamp.jac_sink;
   mutable degraded : bool;
       (** at least one factorization of this system fell back from the
-          sparse to the dense backend — see {!factorize} *)
+          sparse to the dense factorization — see {!factorize} *)
 }
 
-val make : ?backend:backend -> Circuit.t -> rsys
-(** Build the system storage for a circuit (default [Auto]). *)
+val make : Circuit.t -> rsys
+(** Build the system storage for a circuit. *)
 
 val degraded : rsys -> bool
 (** This system's sticky sparse→dense degradation flag — result records
@@ -81,7 +52,8 @@ val degradation_count : unit -> int
     reports). *)
 
 (** A factorization, solvable from any number of domains
-    concurrently. *)
+    concurrently.  [Fdense] only ever comes from the degradation
+    rung. *)
 type rfact = Fdense of Lu.t | Fsparse of Splu.t
 
 (** {2 Plan cache}
@@ -93,10 +65,13 @@ type rfact = Fdense of Lu.t | Fsparse of Splu.t
     ["symbolic.plan"] counter increments.  Hits/misses/evictions are
     the ["cache.plan.*"] counters (docs/serving.md). *)
 
-val splu_plan : ?counter:string -> Csr.t -> Splu.plan
+val splu_plan :
+  ?counter:string -> ?ordering:(unit -> Symbolic.t) -> Csr.t -> Splu.plan
 (** Plan (or fetch a cached plan for) a real pattern on its current
-    values.  [counter] (default ["linsys.splu.plans"]) is bumped only
-    when a plan is actually constructed. *)
+    values.  A constructed plan takes its symbolic analysis from
+    [ordering] when given (called only then), else analyzes [pat].
+    [counter] (default ["linsys.splu.plans"]) is bumped only when a
+    plan is actually constructed. *)
 
 val csplu_plan : ?counter:string -> Csr.t -> Cx.t array -> Csplu.plan
 (** The complex twin, for the AC/LPTV [Csplu] planning sites. *)
@@ -106,22 +81,17 @@ val set_plan_cache_capacity : int -> unit
     them. *)
 
 val factorize : ?allow_degradation:bool -> rsys -> rfact
-(** Factorize the current values.  Sparse: plans on first call; if a
-    replay hits a dead pivot (values drifted far from the planning
-    point) it re-plans once; if the re-planned factorization is still
-    singular and [allow_degradation] (default true), the same values
-    are re-factorized densely — counted as ["linsys.degraded_to_dense"]
-    and latched in {!degraded} — before giving up.  Raises
-    {!Singular_row} when nothing worked (or immediately on a singular
-    dense/disallowed-degradation path).  The ["linsys.splu"]
-    {!Faultsim} site can force the sparse path to fail. *)
+(** Factorize the current values.  Plans on first call; if a replay
+    hits a dead pivot (values drifted far from the planning point) it
+    re-plans once; if the re-planned factorization is still singular
+    and [allow_degradation] (default true), the same values are
+    re-factorized densely — counted as ["linsys.degraded_to_dense"]
+    (and ["linsys.fact.dense"]) and latched in {!degraded} — before
+    giving up.  Raises {!Singular_row} when nothing worked.  The
+    ["linsys.splu"] {!Faultsim} site can force the sparse path to fail;
+    armed at every visit it turns every factorization into the dense
+    oracle on the same values. *)
 
 val solve : rfact -> Vec.t -> Vec.t
 val solve_inplace : rfact -> Vec.t -> unit
 val solve_transpose : rfact -> Vec.t -> Vec.t
-
-(** The constant C matrix in the representation matching the system. *)
-type rmat = Mdense of Mat.t | Msparse of Csr.t
-
-val cmat_of : rsys -> Mat.t -> rmat
-val rmat_mul_vec_into : rmat -> Vec.t -> Vec.t -> unit

@@ -1,34 +1,19 @@
-(* Per-step solver bank: M_k factorizations, k = 1..m at index k-1. *)
-type step_solver =
-  | Sdense of Clu.t array
-  | Ssparse of Csplu.t array
-
-(* The C/h multiply in the recurrences, in the backend's storage. *)
-type cmul =
-  | Cm_dense of Mat.t
-  | Cm_sparse of Csr.t
-
-(* The periodic wrap matrix I - Φ(ω): either factorized densely (Φ
-   formed column by column), or applied matrix-free with GMRES — one
-   variational sweep through the step solvers per product, never
-   forming Φ.  A krylov wrap that stagnates builds the dense
+(* The periodic wrap I - Φ(ω) is applied matrix-free with GMRES — one
+   variational sweep through the step factorizations per product,
+   never forming Φ.  A wrap that stagnates builds the dense
    factorization once (under [lock]) and latches it. *)
-type wrap =
-  | Wdense of Clu.t
-  | Wkrylov of {
-      mutable dense : Clu.t option; (* stagnation rung, built at most once *)
-      lock : Mutex.t;
-    }
+type wrap = {
+  mutable dense : Clu.t option; (* stagnation rung, built at most once *)
+  lock : Mutex.t;
+}
 
 type t = {
   pss : Pss.t;
   f_offset : float;
-  omega : float;
   n : int;
   m : int; (* grid steps per period *)
-  h : float;
-  cmul : cmul;
-  solvers : step_solver;
+  cmul : Csr.t; (* C/h *)
+  solvers : Csplu.t array; (* M_k factorizations, k = 1..m at index k-1 *)
   wrap : wrap;
 }
 
@@ -63,13 +48,8 @@ let cmul_apply_into ws cm (v : Cvec.t) (dst : Cvec.t) =
     Array.unsafe_set ws.re_in i z.Cx.re;
     Array.unsafe_set ws.im_in i z.Cx.im
   done;
-  (match cm with
-   | Cm_dense mat ->
-     Mat.mul_vec_into mat ws.re_in ws.re_out;
-     Mat.mul_vec_into mat ws.im_in ws.im_out
-   | Cm_sparse c ->
-     Csr.mul_vec_into c ws.re_in ws.re_out;
-     Csr.mul_vec_into c ws.im_in ws.im_out);
+  Csr.mul_vec_into cm ws.re_in ws.re_out;
+  Csr.mul_vec_into cm ws.im_in ws.im_out;
   for i = 0 to n - 1 do
     Array.unsafe_set dst i
       (Cx.mk (Array.unsafe_get ws.re_out i) (Array.unsafe_get ws.im_out i))
@@ -83,13 +63,8 @@ let cmul_tapply_into ws cm (v : Cvec.t) (dst : Cvec.t) =
     Array.unsafe_set ws.re_in i z.Cx.re;
     Array.unsafe_set ws.im_in i z.Cx.im
   done;
-  (match cm with
-   | Cm_dense mat ->
-     Mat.tmul_vec_into mat ws.re_in ws.re_out;
-     Mat.tmul_vec_into mat ws.im_in ws.im_out
-   | Cm_sparse c ->
-     Csr.tmul_vec_into c ws.re_in ws.re_out;
-     Csr.tmul_vec_into c ws.im_in ws.im_out);
+  Csr.tmul_vec_into cm ws.re_in ws.re_out;
+  Csr.tmul_vec_into cm ws.im_in ws.im_out;
   for i = 0 to n - 1 do
     Array.unsafe_set dst i
       (Cx.mk (Array.unsafe_get ws.re_out i) (Array.unsafe_get ws.im_out i))
@@ -98,14 +73,10 @@ let cmul_tapply_into ws cm (v : Cvec.t) (dst : Cvec.t) =
 (* dst <- M_k⁻¹ b; b is consumed from ws.ct1 by the callers, dst may
    alias the caller's vector but not ws.ct1/ws.ct3 *)
 let solve_step_into ws solvers ~k b dst =
-  match solvers with
-  | Sdense clus -> Clu.solve_into clus.(k - 1) b dst
-  | Ssparse fs -> Csplu.solve_into fs.(k - 1) ~scratch:ws.ct3 b dst
+  Csplu.solve_into solvers.(k - 1) ~scratch:ws.ct3 b dst
 
 let solve_step_transpose_into ws solvers ~k b dst =
-  match solvers with
-  | Sdense clus -> Clu.solve_transpose_into clus.(k - 1) ~scratch:ws.ct2 b dst
-  | Ssparse fs -> Csplu.solve_transpose_into fs.(k - 1) ~scratch:ws.ct2 b dst
+  Csplu.solve_transpose_into solvers.(k - 1) ~scratch:ws.ct2 b dst
 
 (* A_{k-1} p = M_k⁻¹ (C/h) p   (maps p_{k-1} to the homogeneous part of p_k);
    dst may alias p but not ws.ct1 *)
@@ -118,8 +89,8 @@ let a_transpose_apply_into ws ~solvers ~cmul ~k w dst =
   solve_step_transpose_into ws solvers ~k w ws.ct1;
   cmul_tapply_into ws cmul ws.ct1 dst
 
-let build ?(domains = 1) ?backend ?(krylov = Linsys.Kauto)
-    ?(policy = Retry.default) ?budget (pss : Pss.t) ~f_offset =
+let build ?(domains = 1) ?(policy = Retry.default) ?budget (pss : Pss.t)
+    ~f_offset =
   Obs.span "lptv.build" @@ fun () ->
   let circuit = pss.Pss.circuit in
   let n = Circuit.size circuit in
@@ -129,125 +100,66 @@ let build ?(domains = 1) ?backend ?(krylov = Linsys.Kauto)
   let h = pss.Pss.period /. float_of_int m in
   let omega = 2.0 *. Float.pi *. f_offset in
   let c_over_h = Mat.scale (1.0 /. h) pss.Pss.c_mat in
-  let backend = Linsys.choose (Option.value backend ~default:Linsys.Auto) n in
   Domain_pool.with_pool domains @@ fun pool ->
-  let cmul, solvers =
+  let solvers =
     Obs.span "lptv.factor_steps" @@ fun () ->
-    match backend with
-    | Linsys.Dense | Linsys.Auto ->
-      (* factorize M_k = C(1/h + jω) + G(t_k) for k = 1..m — the m
-         factorizations are independent; each lane stamps into its own
-         g/jac workspace (a shared stamp buffer would be a data race) *)
-      let clus = Array.make m None in
-      (* a lane exception (incl. an injected "lptv.factor" fault) drains
-         the pool and re-raises here; the phase is a deterministic
-         write-per-slot loop, so a bounded re-run recovers bit-identically *)
-      Retry.with_transients ~policy ~label:"lptv" (fun () ->
-          Domain_pool.parallel_for_ws pool m ~label:"lptv.factor_steps"
-            ~chunk:(Domain_pool.chunk_hint pool m)
-            ?should_stop:(Budget.stop_opt budget)
-            ~init:(fun () -> (Vec.create n, Mat.create n n))
-            (fun (g_buf, jac) i ->
-              Faultsim.check_exn "lptv.factor";
-              let k = i + 1 in
-              Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12
-                ~x:pss.Pss.states.(k) ~g:g_buf
-                ~jac:(Some (Stamp.dense_sink jac))
-                ();
-              let mk =
-                Cmat.init n n (fun r c ->
-                    Cx.mk
-                      (Mat.get jac r c +. Mat.get c_over_h r c)
-                      (omega *. Mat.get pss.Pss.c_mat r c))
-              in
-              Obs.count "lptv.fact.dense" 1;
-              clus.(i) <- Some (Clu.factorize mk)));
-      Budget.check_opt budget;
-      let clus =
-        Array.map (function Some c -> c | None -> assert false) clus
-      in
-      (Cm_dense c_over_h, Sdense clus)
-    | Linsys.Sparse ->
-      let pat = Stamp.pattern circuit in
-      let nnz = Csr.nnz pat in
-      (* C values aligned position-for-position with the pattern *)
-      let c_vals = Array.make nnz 0.0 in
-      Stamp.stamp_c circuit ~add:(fun i j v ->
-          let p = Csr.index pat i j in
-          c_vals.(p) <- c_vals.(p) +. v);
-      let zvals_at gcsr zvals =
-        let gv = gcsr.Csr.v in
-        for p = 0 to nnz - 1 do
-          zvals.(p) <-
-            Cx.mk (gv.(p) +. (c_vals.(p) /. h)) (omega *. c_vals.(p))
-        done
-      in
-      let stamp_into g_buf gcsr k =
-        Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12
-          ~x:pss.Pss.states.(k) ~g:g_buf ~jac:(Some (Stamp.csr_sink gcsr)) ()
-      in
-      (* one symbolic plan, built serially on the k = 1 values, shared
-         read-only by every lane *)
-      let plan =
-        let g_buf = Vec.create n in
-        let gcsr = Csr.copy pat in
-        let zvals = Array.make nnz Cx.zero in
-        stamp_into g_buf gcsr 1;
-        zvals_at gcsr zvals;
-        Linsys.csplu_plan ~counter:"lptv.csplu.plans" pat zvals
-      in
-      let fs = Array.make m None in
-      Retry.with_transients ~policy ~label:"lptv" (fun () ->
-          Domain_pool.parallel_for_ws pool m ~label:"lptv.factor_steps"
-            ~chunk:(Domain_pool.chunk_hint pool m)
-            ?should_stop:(Budget.stop_opt budget)
-            ~init:(fun () ->
-              (Vec.create n, Csr.copy pat, Array.make nnz Cx.zero))
-            (fun (g_buf, gcsr, zvals) i ->
-              Faultsim.check_exn "lptv.factor";
-              let k = i + 1 in
-              stamp_into g_buf gcsr k;
-              zvals_at gcsr zvals;
-              Obs.count "lptv.fact.sparse" 1;
-              fs.(i) <- Some (Csplu.factorize plan pat zvals)));
-      Budget.check_opt budget;
-      let fs = Array.map (function Some f -> f | None -> assert false) fs in
-      (Cm_sparse (Csr.of_dense c_over_h), Ssparse fs)
-  in
-  if Linsys.use_krylov krylov n then begin
-    (* matrix-free wrap: no Φ(ω), no dense factorization — build cost
-       is the factor_steps phase alone, O(m·nnz) on the sparse path *)
-    Obs.count "lptv.wrap.krylov" 1;
-    { pss; f_offset; omega; n; m; h; cmul; solvers;
-      wrap = Wkrylov { dense = None; lock = Mutex.create () } }
-  end
-  else begin
-    (* Φ(ω) column by column (independent), then factorize I - Φ *)
-    let phi = Cmat.create n n in
-    Obs.count "lptv.phi.dense" 1;
-    Obs.span "lptv.phi" (fun () ->
-        Retry.with_transients ~policy ~label:"lptv" (fun () ->
-            Domain_pool.parallel_for_ws pool n ~label:"lptv.phi"
-              ~chunk:(Domain_pool.chunk_hint pool n)
-              ?should_stop:(Budget.stop_opt budget)
-              ~init:(fun () -> (make_ws n, Cvec.create n))
-              (fun (ws, v) j ->
-                Cvec.fill v Cx.zero;
-                v.(j) <- Cx.one;
-                for k = 1 to m do
-                  a_apply_into ws ~solvers ~cmul ~k v v
-                done;
-                for i = 0 to n - 1 do
-                  Cmat.set phi i j v.(i)
-                done)));
+    let pat = Stamp.pattern circuit in
+    let nnz = Csr.nnz pat in
+    (* C values aligned position-for-position with the pattern *)
+    let c_vals = Array.make nnz 0.0 in
+    Stamp.stamp_c circuit ~add:(fun i j v ->
+        let p = Csr.index pat i j in
+        c_vals.(p) <- c_vals.(p) +. v);
+    (* M_k = C(1/h + jω) + G(t_k) *)
+    let zvals_at gcsr zvals =
+      let gv = gcsr.Csr.v in
+      for p = 0 to nnz - 1 do
+        zvals.(p) <- Cx.mk (gv.(p) +. (c_vals.(p) /. h)) (omega *. c_vals.(p))
+      done
+    in
+    let stamp_into g_buf gcsr k =
+      Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12
+        ~x:pss.Pss.states.(k) ~g:g_buf ~jac:(Some (Stamp.csr_sink gcsr)) ()
+    in
+    (* one symbolic plan, built serially on the k = 1 values, shared
+       read-only by every lane *)
+    let plan =
+      let g_buf = Vec.create n in
+      let gcsr = Csr.copy pat in
+      let zvals = Array.make nnz Cx.zero in
+      stamp_into g_buf gcsr 1;
+      zvals_at gcsr zvals;
+      Linsys.csplu_plan ~counter:"lptv.csplu.plans" pat zvals
+    in
+    (* the m factorizations are independent; each lane stamps into its
+       own workspace (a shared stamp buffer would be a data race).  A
+       lane exception (incl. an injected "lptv.factor" fault) drains the
+       pool and re-raises here; the phase is a deterministic
+       write-per-slot loop, so a bounded re-run recovers
+       bit-identically *)
+    let fs = Array.make m None in
+    Retry.with_transients ~policy ~label:"lptv" (fun () ->
+        Domain_pool.parallel_for_ws pool m ~label:"lptv.factor_steps"
+          ~chunk:(Domain_pool.chunk_hint pool m)
+          ?should_stop:(Budget.stop_opt budget)
+          ~init:(fun () -> (Vec.create n, Csr.copy pat, Array.make nnz Cx.zero))
+          (fun (g_buf, gcsr, zvals) i ->
+            Faultsim.check_exn "lptv.factor";
+            let k = i + 1 in
+            stamp_into g_buf gcsr k;
+            zvals_at gcsr zvals;
+            Obs.count "lptv.fact.sparse" 1;
+            fs.(i) <- Some (Csplu.factorize plan pat zvals)));
     Budget.check_opt budget;
-    Obs.span "lptv.wrap" @@ fun () ->
-    let wrap = Cmat.sub (Cmat.identity n) phi in
-    { pss; f_offset; omega; n; m; h; cmul; solvers;
-      wrap = Wdense (Clu.factorize wrap) }
-  end
+    Array.map (function Some f -> f | None -> assert false) fs
+  in
+  (* matrix-free wrap: no Φ(ω), no dense factorization — build cost is
+     the factor_steps phase alone, O(m·nnz) *)
+  Obs.count "lptv.wrap.krylov" 1;
+  { pss; f_offset; n; m; cmul = Csr.of_dense c_over_h; solvers;
+    wrap = { dense = None; lock = Mutex.create () } }
 
-(* GMRES matrix-vector products for the krylov wrap.  [src] is
+(* GMRES matrix-vector products for the wrap.  [src] is
    preserved; [dst] is one full forward (or backward) variational sweep
    subtracted from the identity. *)
 let wrap_apply t ws src dst =
@@ -268,11 +180,10 @@ let wrap_tapply t ws src dst =
     dst.(i) <- Cx.( -: ) src.(i) dst.(i)
   done
 
-(* Stagnation rung: form I - Φ(ω) densely after all.  The serial column
-   loop runs the exact per-column operation sequence of the pool phase
-   in [build], so the factored matrix is bit-identical to what a dense
-   build would have produced. *)
+(* Stagnation rung: form I - Φ(ω) densely after all, column by column
+   through the same step factorizations, and factorize it. *)
 let dense_wrap t =
+  Obs.span "lptv.phi" @@ fun () ->
   Obs.count "lptv.phi.dense" 1;
   let ws = make_ws t.n in
   let v = Cvec.create t.n in
@@ -290,69 +201,61 @@ let dense_wrap t =
   Clu.factorize (Cmat.sub (Cmat.identity t.n) phi)
 
 let wrap_fallback_lu t =
-  match t.wrap with
-  | Wdense lu -> lu
-  | Wkrylov st ->
-    Mutex.lock st.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock st.lock)
-      (fun () ->
-        match st.dense with
-        | Some lu -> lu
-        | None ->
-          Retry.rung "lptv.gmres_fallback";
-          Linsys.note_krylov_fallback ();
-          let lu = dense_wrap t in
-          st.dense <- Some lu;
-          lu)
+  let st = t.wrap in
+  Mutex.lock st.lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock st.lock)
+    (fun () ->
+      match st.dense with
+      | Some lu -> lu
+      | None ->
+        Retry.rung "lptv.gmres_fallback";
+        Linsys.note_krylov_fallback ();
+        let lu = dense_wrap t in
+        st.dense <- Some lu;
+        lu)
 
 let gmres_restart = Gmres.default_restart
 
-(* (I - Φ(ω))·x = rhs, fresh [x]; GMRES on the krylov wrap with the
-   dense rung on stagnation (or an injected ["lptv.gmres"] fault) *)
+(* (I - Φ(ω))·x = rhs, fresh [x]; GMRES on the matrix-free wrap with
+   the dense rung on stagnation (or an injected ["lptv.gmres"] fault) *)
 let wrap_solve t ws rhs =
-  match t.wrap with
-  | Wdense lu -> Clu.solve lu rhs
-  | Wkrylov st -> (
-    match st.dense with
-    | Some lu -> Clu.solve lu rhs
-    | None ->
-      let x = Cvec.create t.n in
-      let converged =
-        match Faultsim.fire "lptv.gmres" with
-        | Some _ -> false
-        | None ->
-          let gws = Gmres.make_ws ~n:t.n ~restart:gmres_restart in
-          let stats =
-            Gmres.solve ~apply:(fun src dst -> wrap_apply t ws src dst) gws
-              ~b:rhs ~x
-          in
-          stats.Gmres.converged
-      in
-      if converged then x else Clu.solve (wrap_fallback_lu t) rhs)
+  match t.wrap.dense with
+  | Some lu -> Clu.solve lu rhs
+  | None ->
+    let x = Cvec.create t.n in
+    let converged =
+      match Faultsim.fire "lptv.gmres" with
+      | Some _ -> false
+      | None ->
+        let gws = Gmres.make_ws ~n:t.n ~restart:gmres_restart in
+        let stats =
+          Gmres.solve ~apply:(fun src dst -> wrap_apply t ws src dst) gws
+            ~b:rhs ~x
+        in
+        stats.Gmres.converged
+    in
+    if converged then x else Clu.solve (wrap_fallback_lu t) rhs
 
 (* (I - Φ(ω))ᵀ·dst = rhs for the adjoint; same ladder as [wrap_solve] *)
 let wrap_solve_transpose_into t ws rhs dst =
-  match t.wrap with
-  | Wdense lu -> Clu.solve_transpose_into lu ~scratch:ws.ct2 rhs dst
-  | Wkrylov st -> (
-    match st.dense with
-    | Some lu -> Clu.solve_transpose_into lu ~scratch:ws.ct2 rhs dst
-    | None ->
-      let converged =
-        match Faultsim.fire "lptv.gmres" with
-        | Some _ -> false
-        | None ->
-          let gws = Gmres.make_ws ~n:t.n ~restart:gmres_restart in
-          Cvec.fill dst Cx.zero;
-          let stats =
-            Gmres.solve ~apply:(fun src d -> wrap_tapply t ws src d) gws
-              ~b:rhs ~x:dst
-          in
-          stats.Gmres.converged
-      in
-      if not converged then
-        Clu.solve_transpose_into (wrap_fallback_lu t) ~scratch:ws.ct2 rhs dst)
+  match t.wrap.dense with
+  | Some lu -> Clu.solve_transpose_into lu ~scratch:ws.ct2 rhs dst
+  | None ->
+    let converged =
+      match Faultsim.fire "lptv.gmres" with
+      | Some _ -> false
+      | None ->
+        let gws = Gmres.make_ws ~n:t.n ~restart:gmres_restart in
+        Cvec.fill dst Cx.zero;
+        let stats =
+          Gmres.solve ~apply:(fun src d -> wrap_tapply t ws src d) gws
+            ~b:rhs ~x:dst
+        in
+        stats.Gmres.converged
+    in
+    if not converged then
+      Clu.solve_transpose_into (wrap_fallback_lu t) ~scratch:ws.ct2 rhs dst
 
 let pss t = t.pss
 let steps t = t.m
@@ -375,13 +278,7 @@ let solve_source t inj =
   (* the per-step forced vectors M_k⁻¹ b_k are shared by the wrap pass
      and the final sweep — solve each only once *)
   let forced =
-    Array.init t.m (fun i ->
-        let b = rhs_of t ~k:(i + 1) inj in
-        match t.solvers with
-        | Sdense clus ->
-          Clu.solve_inplace clus.(i) b;
-          b
-        | Ssparse fs -> Csplu.solve fs.(i) b)
+    Array.init t.m (fun i -> Csplu.solve t.solvers.(i) (rhs_of t ~k:(i + 1) inj))
   in
   let q = Cvec.create t.n in
   for k = 1 to t.m do
@@ -438,10 +335,7 @@ let adjoint_general t (c_add : int -> Cvec.t -> unit) : functional =
   c_add t.m rhs;
   wrap_solve_transpose_into t ws rhs lam.(t.m);
   backward ();
-  Array.init t.m (fun i ->
-      match t.solvers with
-      | Sdense clus -> Clu.solve_transpose clus.(i) lam.(i + 1)
-      | Ssparse fs -> Csplu.solve_transpose fs.(i) lam.(i + 1))
+  Array.init t.m (fun i -> Csplu.solve_transpose t.solvers.(i) lam.(i + 1))
 
 let adjoint_harmonic t ~row ~harmonic =
   Obs.count "lptv.harmonics" 1;

@@ -24,30 +24,26 @@
 
 type t
 
-val build : ?domains:int -> ?backend:Linsys.backend ->
-  ?krylov:Linsys.krylov -> ?policy:Retry.policy ->
-  ?budget:Budget.t -> Pss.t -> f_offset:float -> t
-(** Linearize around the PSS and factorize all [M_k] plus the periodic
-    wrap matrix [I - Φ(ω)].  [f_offset] is the input offset frequency
-    (1 Hz for the pseudo-noise mismatch reading).
+val build : ?domains:int -> ?policy:Retry.policy -> ?budget:Budget.t ->
+  Pss.t -> f_offset:float -> t
+(** Linearize around the PSS and factorize all [M_k] by sparse [Csplu]
+    (one shared symbolic plan, per-lane numeric workspaces).
+    [f_offset] is the input offset frequency (1 Hz for the pseudo-noise
+    mismatch reading).
 
-    [domains] (default 1) runs the per-step factorizations and the
-    monodromy columns on a {!Domain_pool} of that many lanes.  Results
-    are bit-identical for any [domains] — see docs/parallelism.md.
+    [build] never forms the wrap matrix [I - Φ(ω)]: it stops after the
+    step factorizations — O(m·nnz) — and the wrap solves in
+    {!solve_source}/the adjoints run restarted {!Gmres} where each
+    product [(I - Φ(ω))·v] is one variational sweep through the step
+    solvers.  GMRES stagnation (or an injected ["lptv.gmres"] fault)
+    falls back to forming [Φ(ω)] column by column and factorizing
+    [I - Φ(ω)] densely, once per context (the ["lptv.phi"] span) —
+    counted as ["ladder.lptv.gmres_fallback"] and
+    {!Linsys.krylov_fallback_count}.
 
-    [backend] selects dense [Clu] or sparse [Csplu] step solvers (one
-    shared symbolic plan, per-lane numeric workspaces).  Default
-    {!Linsys.Auto}.
-
-    [krylov] (default {!Linsys.Kauto}) selects the wrap treatment.  On
-    the matrix-free path, [build] never forms [Φ(ω)]: it stops after
-    the step factorizations — O(m·nnz) on the sparse backend — and the
-    wrap solves in {!solve_source}/the adjoints run restarted {!Gmres}
-    where each product [(I - Φ(ω))·v] is one variational sweep through
-    the step solvers.  GMRES stagnation (or an injected ["lptv.gmres"]
-    fault) falls back to the dense factorization, built once and
-    bit-identical to the dense path's — counted as
-    ["ladder.lptv.gmres_fallback"] and {!Linsys.krylov_fallback_count}.
+    [domains] (default 1) runs the per-step factorizations on a
+    {!Domain_pool} of that many lanes.  Results are bit-identical for
+    any [domains] — see docs/parallelism.md.
 
     [budget] expiry stops every lane from claiming further work and the
     build raises {!Budget.Timed_out} at the next phase boundary.  A pool

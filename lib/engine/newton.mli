@@ -1,4 +1,4 @@
-(** Damped Newton–Raphson over a {!Linsys} backend.
+(** Damped Newton–Raphson over a {!Linsys} system.
 
     Shared by the DC solver and the per-step transient solves.
     Telemetry: each solve adds to the ["newton.solves"],
@@ -60,6 +60,6 @@ val solve :
     stage — a non-finite residual or singular factorization is re-run
     up to [policy.max_retries] times (deterministic, so an injected
     transient fault recovers bit-identically) — and gates the sparse
-    backend's degrade-to-dense fallback.  Fault sites:
+    factorization's degrade-to-dense fallback.  Fault sites:
     ["newton.residual"] ([Nan]) and ["newton.factorize"]
     ([Singular]). *)

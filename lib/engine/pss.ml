@@ -15,9 +15,7 @@ type t = {
 exception No_convergence of string
 
 (* Dense monodromy from the per-step factorizations: X <- A_k X for
-   k = 1..m, column by column.  Per column this is the exact operation
-   sequence of the in-sweep accumulation below, so a krylov run that
-   falls back here produces a bit-identical matrix. *)
+   k = 1..m, column by column, A_k = (C/h + G_k)⁻¹ (C/h). *)
 let accumulate_monodromy ~c_mat ~h ~facts n =
   Obs.count "pss.monodromy.dense" 1;
   let m = Mat.identity n in
@@ -47,74 +45,53 @@ let monodromy t =
     m
 
 (* Integrate one period with BE from x0; record states and per-step
-   factorizations; optionally accumulate the monodromy matrix. *)
+   factorizations. *)
 let sweep ~circuit ~sys ~c_mat ~tran_options ~t0 ~period ~steps ~x0 ?budget
-    ?policy ~want_monodromy () =
-  let n = Vec.dim x0 in
+    ?policy () =
   let h = period /. float_of_int steps in
-  let c_rmat = Linsys.cmat_of sys c_mat in
+  let c_csr = Csr.of_dense c_mat in
   let times = Array.init (steps + 1) (fun k -> t0 +. (h *. float_of_int k)) in
   let states = Array.make (steps + 1) x0 in
-  let facts = Array.make steps None in
-  let mono = if want_monodromy then Some (Mat.identity n) else None in
-  for k = 0 to steps - 1 do
-    let r =
-      Tran.step ~options:tran_options ~circuit ~sys ~c_mat:c_rmat
-        ~x_prev:states.(k) ~t_prev:times.(k) ~t_next:times.(k + 1) ?budget
-        ?policy ()
-    in
-    if not r.Newton.converged then begin
-      let where =
-        match r.Newton.worst_row with
-        | Some j -> Printf.sprintf " at %s" (Circuit.row_name circuit j)
-        | None -> ""
-      in
-      raise
-        (No_convergence
-           (Printf.sprintf
-              "PSS sweep: step at t=%.4g did not converge: residual %.3g%s \
-               (trajectory %s)"
-              times.(k + 1) r.Newton.residual_norm where
-              (Newton.history_string r.Newton.residual_history)))
-    end;
-    states.(k + 1) <- r.Newton.x;
-    let fact =
-      match r.Newton.last_fact with
-      | Some f -> f
-      | None -> raise (No_convergence "PSS sweep: no step factorization")
-    in
-    facts.(k) <- Some fact;
-    match mono with
-    | None -> ()
-    | Some m ->
-      (* X <- (C/h + G)⁻¹ (C/h) X, column by column *)
-      for j = 0 to n - 1 do
-        let col = Mat.col m j in
-        let rhs = Vec.scale (1.0 /. h) (Mat.mul_vec c_mat col) in
-        Linsys.solve_inplace fact rhs;
-        for i = 0 to n - 1 do
-          Mat.set m i j rhs.(i)
-        done
-      done
-  done;
   let facts =
-    Array.map (function Some f -> f | None -> assert false) facts
+    Array.init steps (fun k ->
+        let r =
+          Tran.step ~options:tran_options ~circuit ~sys ~c_mat:c_csr
+            ~x_prev:states.(k) ~t_prev:times.(k) ~t_next:times.(k + 1) ?budget
+            ?policy ()
+        in
+        if not r.Newton.converged then begin
+          let where =
+            match r.Newton.worst_row with
+            | Some j -> Printf.sprintf " at %s" (Circuit.row_name circuit j)
+            | None -> ""
+          in
+          raise
+            (No_convergence
+               (Printf.sprintf
+                  "PSS sweep: step at t=%.4g did not converge: residual %.3g%s \
+                   (trajectory %s)"
+                  times.(k + 1) r.Newton.residual_norm where
+                  (Newton.history_string r.Newton.residual_history)))
+        end;
+        states.(k + 1) <- r.Newton.x;
+        match r.Newton.last_fact with
+        | Some f -> f
+        | None -> raise (No_convergence "PSS sweep: no step factorization"))
   in
-  (times, states, facts, mono)
+  (times, states, facts)
 
 (* δ from (I − Φ)·δ = r without forming Φ: GMRES on the complexified
    operator, one variational sweep (reusing the step factorizations)
    per matrix-vector product.  Returns [None] on stagnation — the
    caller's dense rung.  The real/imag parts ride the real operator
    independently, so a real [r] keeps the whole Krylov space real. *)
-let krylov_delta ~sys ~c_mat ~h ~facts ~gws n (r : Vec.t) =
+let krylov_delta ~c_over_h ~facts ~gws n (r : Vec.t) =
   Obs.span "pss.krylov" @@ fun () ->
-  let c_over_h = Linsys.cmat_of sys (Mat.scale (1.0 /. h) c_mat) in
   let tmp = Vec.create n in
   let phi_apply v =
     Array.iter
       (fun fact ->
-        Linsys.rmat_mul_vec_into c_over_h v tmp;
+        Csr.mul_vec_into c_over_h v tmp;
         Linsys.solve_inplace fact tmp;
         Vec.blit tmp v)
       facts
@@ -137,24 +114,23 @@ let krylov_delta ~sys ~c_mat ~h ~facts ~gws n (r : Vec.t) =
   let stats = Gmres.solve ~apply gws ~b ~x in
   if stats.Gmres.converged then Some (Cvec.real x) else None
 
-let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?backend
-    ?(krylov = Linsys.Kauto) ?(policy = Retry.default) ?budget ?x0
-    ?(warmup_periods = 2) circuit ~period =
+let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7)
+    ?(policy = Retry.default) ?budget ?x0 ?(warmup_periods = 2) circuit
+    ~period =
   Obs.span "pss.solve" @@ fun () ->
   Obs.count "pss.solves" 1;
   let c_mat = Stamp.c_matrix circuit in
-  let sys = Linsys.make ?backend circuit in
+  let sys = Linsys.make circuit in
   let tran_options = Tran.default_options in
   let x_init =
     match x0 with
     | Some x -> Vec.copy x
     | None ->
-      let dc = Dc.solve ?backend ~policy ?budget circuit in
+      let dc = Dc.solve ~policy ?budget circuit in
       if warmup_periods <= 0 then dc
       else begin
         let w =
-          Tran.run ?backend ~policy ?budget ~x0:dc ~record:false circuit
-            ~tstart:0.0
+          Tran.run ~policy ?budget ~x0:dc ~record:false circuit ~tstart:0.0
             ~tstop:(period *. float_of_int warmup_periods)
             ~dt:(period /. float_of_int steps)
             ()
@@ -164,9 +140,8 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?backend
   in
   let n = Vec.dim x_init in
   (* sticky per-solve flag: a GMRES stagnation drops the rest of this
-     shooting run onto the dense rung, so the fallback trajectory is
-     bit-identical to a dense-only run *)
-  let use_k = ref (Linsys.use_krylov krylov n) in
+     shooting run onto the dense rung *)
+  let krylov = ref true in
   let gws = lazy (Gmres.make_ws ~n ~restart:Gmres.default_restart) in
   let dense_delta mono r =
     (* Newton on x(T;x0) - x0: (Φ - I)·δ = -r *)
@@ -179,32 +154,24 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?backend
   in
   let solve_with steps =
     let h = period /. float_of_int steps in
+    let c_over_h = Csr.of_dense (Mat.scale (1.0 /. h) c_mat) in
     let x0 = ref (Vec.copy x_init) in
     let rhist = ref [] in
     let rec iterate iter =
       Budget.check_opt budget;
-      let times, states, facts, mono =
+      let times, states, facts =
         Obs.span "pss.sweep" @@ fun () ->
         sweep ~circuit ~sys ~c_mat ~tran_options ~t0:0.0 ~period ~steps
-          ~x0:!x0 ?budget ~policy ~want_monodromy:(not !use_k) ()
+          ~x0:!x0 ?budget ~policy ()
       in
       Obs.count "pss.sweep_steps" steps;
-      let mono = ref mono in
-      let force_mono () =
-        match !mono with
-        | Some m -> m
-        | None ->
-          let m = accumulate_monodromy ~c_mat ~h ~facts n in
-          mono := Some m;
-          m
-      in
       let r = Vec.sub states.(steps) !x0 in
       let rnorm = Vec.norm_inf r in
       rhist := rnorm :: !rhist;
       if rnorm < tol then
         {
           circuit; period; steps; times; states; c_mat; sys;
-          step_facts = facts; monodromy = !mono; iterations = iter;
+          step_facts = facts; monodromy = None; iterations = iter;
           residual = rnorm;
         }
       else if iter >= max_iter then
@@ -217,25 +184,26 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?backend
                 (Newton.history_string (Array.of_list (List.rev !rhist)))))
       else begin
         Obs.count "pss.shooting_iterations" 1;
+        (* (I − Φ)·δ = r, matrix-free; injected "pss.gmres" faults and
+           real stagnation both take the dense rung *)
         let delta =
-          if not !use_k then dense_delta (force_mono ()) r
-          else begin
-            (* (I − Φ)·δ = r, matrix-free; injected "pss.gmres" faults
-               and real stagnation both take the dense rung *)
-            let d =
-              match Faultsim.fire "pss.gmres" with
-              | Some _ -> None
-              | None ->
-                krylov_delta ~sys ~c_mat ~h ~facts ~gws:(Lazy.force gws) n r
-            in
-            match d with
-            | Some d -> d
+          if not !krylov then None
+          else
+            match Faultsim.fire "pss.gmres" with
+            | Some _ -> None
             | None ->
+              krylov_delta ~c_over_h ~facts ~gws:(Lazy.force gws) n r
+        in
+        let delta =
+          match delta with
+          | Some d -> d
+          | None ->
+            if !krylov then begin
               Retry.rung "pss.gmres_fallback";
               Linsys.note_krylov_fallback ();
-              use_k := false;
-              dense_delta (force_mono ()) r
-          end
+              krylov := false
+            end;
+            dense_delta (accumulate_monodromy ~c_mat ~h ~facts n) r
         in
         x0 := Vec.add !x0 delta;
         iterate (iter + 1)

@@ -4,9 +4,10 @@
     Finds [x₀] with [x(T; x₀) = x₀] where the state transition is the
     backward-Euler integration of the circuit over one period on a
     uniform [steps]-point grid.  The shooting Jacobian is the monodromy
-    matrix [Φ], accumulated from the per-step variational maps
+    matrix [Φ], the product of the per-step variational maps
     [A_k = (C/h + G_{k+1})⁻¹·(C/h)] — the same factorizations later
-    reused by the LPTV noise analysis. *)
+    reused by the LPTV noise analysis.  The Newton update applies [Φ]
+    matrix-free; it is formed densely only on demand. *)
 
 type t = {
   circuit : Circuit.t;
@@ -19,9 +20,7 @@ type t = {
   step_facts : Linsys.rfact array;
       (** length steps; factorization of C/h + G at step k+1 *)
   mutable monodromy : Mat.t option;
-      (** [Some] when the dense shooting path accumulated it, [None] on
-          the matrix-free krylov path — use {!monodromy} to force it
-          (cached here). *)
+      (** [None] until {!monodromy} forces it (then cached here). *)
   iterations : int;
   residual : float;
 }
@@ -31,17 +30,16 @@ exception No_convergence of string
 val sweep :
   circuit:Circuit.t -> sys:Linsys.rsys -> c_mat:Mat.t ->
   tran_options:Tran.options -> t0:float -> period:float -> steps:int ->
-  x0:Vec.t -> ?budget:Budget.t -> ?policy:Retry.policy ->
-  want_monodromy:bool -> unit ->
-  float array * Vec.t array * Linsys.rfact array * Mat.t option
-(** One backward-Euler pass over a period: grid times, states, per-step
-    factorizations and (optionally) the monodromy matrix.  Exposed for
-    the oscillator shooting solver. *)
+  x0:Vec.t -> ?budget:Budget.t -> ?policy:Retry.policy -> unit ->
+  float array * Vec.t array * Linsys.rfact array
+(** One backward-Euler pass over a period: grid times, states and
+    per-step factorizations.  Exposed for the oscillator shooting
+    solver. *)
 
 val solve :
-  ?steps:int -> ?max_iter:int -> ?tol:float -> ?backend:Linsys.backend ->
-  ?krylov:Linsys.krylov -> ?policy:Retry.policy -> ?budget:Budget.t ->
-  ?x0:Vec.t -> ?warmup_periods:int -> Circuit.t -> period:float -> t
+  ?steps:int -> ?max_iter:int -> ?tol:float -> ?policy:Retry.policy ->
+  ?budget:Budget.t -> ?x0:Vec.t -> ?warmup_periods:int -> Circuit.t ->
+  period:float -> t
 (** [solve c ~period] computes the PSS.  The initial guess is the DC
     point integrated for [warmup_periods] (default 2) periods.
     [steps] defaults to 200.  A sweep or shooting loop that stalls is
@@ -49,20 +47,20 @@ val solve :
     ["ladder.pss.refine"] counter); [budget] is checked per shooting
     iterate and threads into every inner solve ({!Budget.Timed_out}).
 
-    [krylov] (default {!Linsys.Kauto}) selects the matrix-free shooting
-    Newton: the update solves [(I − Φ)·δ = r] by {!Gmres} where each
-    [Φ·v] is one variational sweep through [step_facts] — no dense
-    monodromy is accumulated (the ["pss.krylov"] span and
-    ["gmres.*"] counters trace it).  GMRES stagnation (or an injected
-    ["pss.gmres"] fault) drops the rest of the run onto the dense rung
-    — counted as ["ladder.pss.gmres_fallback"] and
-    {!Linsys.krylov_fallback_count} — with a trajectory bit-identical
-    to a dense-only run. *)
+    The shooting Newton is matrix-free: the update solves
+    [(I − Φ)·δ = r] by {!Gmres} where each [Φ·v] is one variational
+    sweep through [step_facts] — no dense monodromy is accumulated (the
+    ["pss.krylov"] span and ["gmres.*"] counters trace it).  GMRES
+    stagnation (or an injected ["pss.gmres"] fault) drops the rest of
+    the run onto the dense rung — the monodromy formed from the same
+    factorizations and solved by dense LU — counted as
+    ["ladder.pss.gmres_fallback"] and {!Linsys.krylov_fallback_count}. *)
 
 val monodromy : t -> Mat.t
-(** The dense monodromy matrix, accumulating it from [step_facts] on
-    first use if the krylov path skipped it (counted as
-    ["pss.monodromy.dense"]). *)
+(** The dense monodromy matrix, accumulated from [step_facts] on first
+    use (counted as ["pss.monodromy.dense"]) — what the Floquet
+    multipliers, {!Period_sens} and the oscillator's bordered shooting
+    need. *)
 
 val state_at : t -> k:int -> Vec.t
 (** Grid state, [k] ∈ [0, steps]. *)

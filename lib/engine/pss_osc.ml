@@ -9,9 +9,8 @@ exception No_convergence of string
 
 (* free-running transient from a slightly perturbed DC point; returns
    (x at a rising anchor crossing, period estimate) *)
-let warmup ?backend ~policy ?budget circuit ~anchor ~f_guess ~settle_periods
-    ~steps =
-  let dc = Dc.solve ?backend ~policy ?budget circuit in
+let warmup ~policy ?budget circuit ~anchor ~f_guess ~settle_periods ~steps =
+  let dc = Dc.solve ~policy ?budget circuit in
   (* kick the anchor node so a symmetric metastable start still
      oscillates *)
   let x0 = Vec.copy dc in
@@ -20,7 +19,7 @@ let warmup ?backend ~policy ?budget circuit ~anchor ~f_guess ~settle_periods
   let t_guess = 1.0 /. f_guess in
   let dt = t_guess /. float_of_int steps in
   let w =
-    Tran.run ?backend ~policy ?budget ~x0 circuit ~tstart:0.0
+    Tran.run ~policy ?budget ~x0 circuit ~tstart:0.0
       ~tstop:(settle_periods *. t_guess) ~dt ()
   in
   let v = Waveform.signal w anchor in
@@ -46,15 +45,14 @@ let warmup ?backend ~policy ?budget circuit ~anchor ~f_guess ~settle_periods
   (Vec.copy w.Waveform.states.(!idx), period)
 
 let solve ?(steps = 200) ?(max_iter = 60) ?(tol = 1e-7) ?(settle_periods = 20.0)
-    ?backend ?(policy = Retry.default) ?budget circuit ~anchor ~f_guess =
+    ?(policy = Retry.default) ?budget circuit ~anchor ~f_guess =
   Obs.span "pss_osc.solve" @@ fun () ->
   Obs.count "pss_osc.solves" 1;
   let c_mat = Stamp.c_matrix circuit in
-  let sys = Linsys.make ?backend circuit in
+  let sys = Linsys.make circuit in
   let x_start, period0 =
     Obs.span "pss_osc.warmup" @@ fun () ->
-    warmup ?backend ~policy ?budget circuit ~anchor ~f_guess ~settle_periods
-      ~steps
+    warmup ~policy ?budget circuit ~anchor ~f_guess ~settle_periods ~steps
   in
   let n = Vec.dim x_start in
   let anchor_row = Circuit.node_row circuit anchor in
@@ -70,32 +68,30 @@ let solve ?(steps = 200) ?(max_iter = 60) ?(tol = 1e-7) ?(settle_periods = 20.0)
            (Printf.sprintf
               "oscillator shooting: too many iterations (trajectory %s)"
               (Newton.history_string (Array.of_list (List.rev !rhist)))));
-    let times, states, facts, mono =
+    let times, states, facts =
       try
         Obs.span "pss.sweep" @@ fun () ->
         Pss.sweep ~circuit ~sys ~c_mat ~tran_options:Tran.default_options
-          ~t0:0.0 ~period:!period ~steps ~x0:!x0 ?budget ~policy
-          ~want_monodromy:true ()
+          ~t0:0.0 ~period:!period ~steps ~x0:!x0 ?budget ~policy ()
       with Pss.No_convergence m -> raise (No_convergence m)
     in
     Obs.count "pss.sweep_steps" steps;
-    let mono = match mono with Some m -> m | None -> assert false in
     let r = Vec.sub states.(steps) !x0 in
     let a_res = !x0.(anchor_row) -. anchor_value in
     let rnorm = Float.max (Vec.norm_inf r) (Float.abs a_res) in
     rhist := rnorm :: !rhist;
-    if rnorm < tol then begin
-      let pss =
-        {
-          Pss.circuit; period = !period; steps; times; states; c_mat; sys;
-          step_facts = facts; monodromy = Some mono; iterations = iter;
-          residual = rnorm;
-        }
-      in
+    let pss =
+      {
+        Pss.circuit; period = !period; steps; times; states; c_mat; sys;
+        step_facts = facts; monodromy = None; iterations = iter;
+        residual = rnorm;
+      }
+    in
+    if rnorm < tol then
       { pss; frequency = 1.0 /. !period; anchor_row; anchor_value }
-    end
     else begin
       Obs.count "pss_osc.shooting_iterations" 1;
+      let mono = Pss.monodromy pss in
       (* augmented Newton step on (x0, T) *)
       let h = !period /. float_of_int steps in
       let xdot_t = Vec.scale (1.0 /. h) (Vec.sub states.(steps) states.(steps - 1)) in

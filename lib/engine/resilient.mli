@@ -24,7 +24,7 @@ type 'a outcome = {
   result : ('a, failure) result;
   elapsed_s : float;
   degradations : int;
-      (** sparse→dense backend fallbacks during this run
+      (** sparse→dense factorization fallbacks during this run
           ({!Linsys.degradation_count} delta) *)
   krylov_fallbacks : int;
       (** krylov→dense wrap fallbacks — GMRES stagnations — during this

@@ -18,8 +18,8 @@
 
     {!default} is what analyses run with when no policy is given and
     preserves the historical homotopy behavior; {!strict} fails fast on
-    the first non-convergence with no ladder, no retries and no backend
-    degradation (the CLI [--strict] flag). *)
+    the first non-convergence with no ladder, no retries and no
+    sparse→dense degradation (the CLI [--strict] flag). *)
 
 type policy = {
   max_retries : int;

@@ -45,44 +45,23 @@ let step ~options ~circuit ~sys ~c_mat ~x_prev ~t_prev ~t_next ?budget ?policy
          g.(i) <- 0.5 *. (g.(i) +. gp.(i))
        done;
        (* halve the resistive Jacobian too *)
-       (match sys.Linsys.repr with
-        | Linsys.Rdense jac ->
-          for i = 0 to n - 1 do
-            for j = 0 to n - 1 do
-              Mat.set jac i j (0.5 *. Mat.get jac i j)
-            done
-          done
-        | Linsys.Rsparse { pat; _ } ->
-          let v = pat.Csr.v in
-          for p = 0 to Array.length v - 1 do
-            v.(p) <- 0.5 *. v.(p)
-          done)
+       let v = sys.Linsys.pat.Csr.v in
+       for p = 0 to Array.length v - 1 do
+         v.(p) <- 0.5 *. v.(p)
+       done
      | _, Backward_euler | None, Trapezoidal -> ());
     List.iter (fun (row, value) -> g.(row) <- g.(row) +. value) forcing;
     (* add C·(x - x_prev)/h and C/h *)
-    match sys.Linsys.repr, c_mat with
-    | Linsys.Rdense jac, Linsys.Mdense cm ->
-      let dx = Vec.sub x x_prev in
-      let cdx = Mat.mul_vec cm dx in
-      for i = 0 to n - 1 do
-        g.(i) <- g.(i) +. (cdx.(i) /. h);
-        for j = 0 to n - 1 do
-          Mat.add_to jac i j (Mat.get cm i j /. h)
-        done
+    let cdx = Csr.mul_vec c_mat (Vec.sub x x_prev) in
+    for i = 0 to n - 1 do
+      g.(i) <- g.(i) +. (cdx.(i) /. h)
+    done;
+    let rp = c_mat.Csr.rp and ci = c_mat.Csr.ci and v = c_mat.Csr.v in
+    for i = 0 to Csr.rows c_mat - 1 do
+      for p = rp.(i) to rp.(i + 1) - 1 do
+        Csr.add sys.Linsys.pat i ci.(p) (v.(p) /. h)
       done
-    | Linsys.Rsparse { pat; _ }, Linsys.Msparse cm ->
-      let dx = Vec.sub x x_prev in
-      let cdx = Csr.mul_vec cm dx in
-      for i = 0 to n - 1 do
-        g.(i) <- g.(i) +. (cdx.(i) /. h)
-      done;
-      let rp = cm.Csr.rp and ci = cm.Csr.ci and v = cm.Csr.v in
-      for i = 0 to Csr.rows cm - 1 do
-        for p = rp.(i) to rp.(i + 1) - 1 do
-          Csr.add pat i ci.(p) (v.(p) /. h)
-        done
-      done
-    | _ -> invalid_arg "Tran.step: c_mat representation mismatch"
+    done
   in
   Newton.solve ~eval ~sys ~x0:x_prev ?budget ?policy
     ~max_iter:options.max_newton ~abstol:options.abstol ~xtol:options.xtol
@@ -122,17 +101,17 @@ let rec advance ~options ~circuit ~sys ~c_mat ~budget ~policy ~x_prev ~t_prev
       ~t_prev:t_mid ~t_next ~depth:(depth + 1)
   end
 
-let run ?(options = default_options) ?backend ?(policy = Retry.default) ?budget
-    ?x0 ?(record = true) circuit ~tstart ~tstop ~dt () =
+let run ?(options = default_options) ?(policy = Retry.default) ?budget ?x0
+    ?(record = true) circuit ~tstart ~tstop ~dt () =
   if dt <= 0.0 || tstop <= tstart then invalid_arg "Tran.run: bad time grid";
   Obs.span "tran.run" @@ fun () ->
   Obs.count "tran.runs" 1;
-  let sys = Linsys.make ?backend circuit in
-  let c_mat = Linsys.cmat_of sys (Stamp.c_matrix circuit) in
+  let sys = Linsys.make circuit in
+  let c_mat = Csr.of_dense (Stamp.c_matrix circuit) in
   let x0 =
     match x0 with
     | Some x -> Vec.copy x
-    | None -> Dc.solve_at ?backend ~policy ?budget ~t:tstart circuit
+    | None -> Dc.solve_at ~policy ?budget ~t:tstart circuit
   in
   let steps = int_of_float (Float.ceil ((tstop -. tstart) /. dt -. 1e-9)) in
   let times = ref [ tstart ] in

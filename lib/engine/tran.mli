@@ -23,8 +23,8 @@ exception Step_failed of float
 (** Raised with the failing time when step halving bottoms out. *)
 
 val run :
-  ?options:options -> ?backend:Linsys.backend -> ?policy:Retry.policy ->
-  ?budget:Budget.t -> ?x0:Vec.t -> ?record:bool ->
+  ?options:options -> ?policy:Retry.policy -> ?budget:Budget.t ->
+  ?x0:Vec.t -> ?record:bool ->
   Circuit.t -> tstart:float -> tstop:float -> dt:float -> unit -> Waveform.t
 (** [run c ~tstart ~tstop ~dt ()] integrates and records every accepted
     base step (sub-steps from halving are not recorded).  [record:false]
@@ -37,12 +37,12 @@ val run :
 
 val step :
   options:options -> circuit:Circuit.t -> sys:Linsys.rsys ->
-  c_mat:Linsys.rmat -> x_prev:Vec.t -> t_prev:float -> t_next:float ->
+  c_mat:Csr.t -> x_prev:Vec.t -> t_prev:float -> t_next:float ->
   ?budget:Budget.t -> ?policy:Retry.policy ->
   ?forcing:(int * float) list -> unit -> Newton.result
 (** One implicit integration step (exposed for the shooting solvers,
     which also need the Jacobian factorization at the solution).
-    [sys] holds the step-matrix storage (build once with {!Linsys.make},
-    pair with [c_mat] from {!Linsys.cmat_of}).  [forcing] adds a sparse
+    [sys] holds the step-matrix storage (build once with {!Linsys.make});
+    [c_mat] is the circuit's constant C matrix in CSR form.  [forcing] adds a sparse
     constant term to the step residual — the hook the transient-noise
     analysis injects its per-step noise currents through. *)

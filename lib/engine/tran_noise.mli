@@ -10,7 +10,7 @@
 
 val run :
   ?seed:int -> ?temp:float -> ?options:Tran.options ->
-  ?backend:Linsys.backend -> ?x0:Vec.t -> Circuit.t -> tstart:float ->
+  ?x0:Vec.t -> Circuit.t -> tstart:float ->
   tstop:float -> dt:float -> unit -> Waveform.t
 (** One noisy transient trajectory. *)
 

@@ -25,9 +25,6 @@ let ocaml = Sys.ocaml_version
    response might need to reproduce a result *)
 let knob_defaults () =
   [
-    ("backend", "auto");
-    ("linsys.auto_threshold", string_of_int Linsys.auto_threshold);
-    ("krylov", "auto");
     ("gmres.restart", string_of_int Gmres.default_restart);
     ("pss.steps", "200");
     ("pss.tol", "1e-7");

@@ -64,10 +64,12 @@ let build_colmap n (q : int array) (csr : Csr.t) =
   done;
   (cp, cri, cpos)
 
-let plan ?ordering ?pivot_tol (csr : Csr.t) =
+let plan ?ordering ?sym ?pivot_tol (csr : Csr.t) =
   let n = Csr.rows csr in
   if Csr.cols csr <> n then invalid_arg "Splu.plan: matrix not square";
-  let sym = Symbolic.analyze ?ordering csr in
+  let sym =
+    match sym with Some s -> s | None -> Symbolic.analyze ?ordering csr
+  in
   let q = Array.copy sym.Symbolic.q in
   let cp, cri, cpos = build_colmap n q csr in
   let tol =

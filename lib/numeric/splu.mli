@@ -28,10 +28,14 @@ exception Singular of int
     original matrix coordinates so it can be mapped straight back to a
     circuit node or branch. *)
 
-val plan : ?ordering:Symbolic.ordering -> ?pivot_tol:float -> Csr.t -> plan
+val plan :
+  ?ordering:Symbolic.ordering -> ?sym:Symbolic.t -> ?pivot_tol:float ->
+  Csr.t -> plan
 (** Symbolic + pivoting analysis using the matrix's current values.
-    Default ordering is {!Symbolic.Rcm}; default [pivot_tol] matches
-    {!Lu.factorize} ([1e-13 · max|a_ij|]). *)
+    Default ordering is {!Symbolic.Rcm}; [sym], a symbolic analysis of
+    this pattern computed earlier, replaces the analysis ([ordering] is
+    then ignored).  Default [pivot_tol] matches {!Lu.factorize}
+    ([1e-13 · max|a_ij|]). *)
 
 val plan_dim : plan -> int
 val dim : t -> int

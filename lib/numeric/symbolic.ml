@@ -139,9 +139,10 @@ let rcm pat =
 
 let analyze ?(ordering = Rcm) pat =
   if Csr.rows pat <> Csr.cols pat then invalid_arg "Symbolic.analyze";
-  (* every Splu/Csplu plan passes through here exactly once, so this
-     counter is the ground truth the plan-cache tests assert against:
-     a warm cache shows fewer symbolic.plan increments than analyses *)
+  (* every plan that does not reuse an earlier analysis passes through
+     here exactly once, so this counter is the ground truth the
+     plan-cache tests assert against: a warm cache shows fewer
+     symbolic.plan increments than analyses *)
   Obs.count "symbolic.plan" 1;
   match ordering with
   | Natural -> identity (Csr.rows pat)

@@ -17,9 +17,11 @@ type t = private {
 }
 
 val analyze : ?ordering:ordering -> Csr.t -> t
-(** Counted as ["symbolic.plan"] — every {!Splu.plan} / {!Csplu.plan}
-    passes through here once, so the counter measures symbolic analyses
-    actually performed (a warm plan cache shows fewer increments).
+(** Counted as ["symbolic.plan"] — every {!Csplu.plan}, and every
+    {!Splu.plan} not handed a [sym], passes through here once, so the
+    counter measures symbolic analyses actually performed (a warm plan
+    cache, or a {!Splu.plan} reusing an earlier analysis, shows fewer
+    increments).
 
     [analyze pat] computes an ordering for the square pattern [pat]
     (default [Rcm]).  Raises [Invalid_argument] on non-square input. *)

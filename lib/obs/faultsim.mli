@@ -18,13 +18,14 @@
     - ["newton.residual"] — [Nan] poisons the residual after an eval
     - ["newton.factorize"] — [Singular k] fails the step factorization
     - ["linsys.splu"] — [Singular k] forces the sparse plan+replay to
-      fail, exercising the degrade-to-dense path
+      fail, exercising the degrade-to-dense rung (armed at every visit:
+      the dense-LU oracle on the production values)
     - ["tran.step"] — [Exn] aborts one integration step
     - ["lptv.factor"], ["pnoise.transfer"] — [Exn] kills a pool-lane
       body mid-job
     - ["pss.gmres"], ["lptv.gmres"] — any fault makes that GMRES wrap
-      solve report stagnation, exercising the bit-identical
-      krylov→dense fallback rung
+      solve report stagnation, exercising the krylov→dense fallback
+      rung (armed at every visit: the dense-monodromy/Φ oracle)
     - ["budget.clock"] — [Clock_skip s] advances the budget clock by
       [s] seconds on that visit
     - ["sweep.worker.spawn"] — [Exn] fails a sweep worker spawn in the

@@ -37,8 +37,6 @@ type job = {
   deck_text : string;
   steps : int option;
   f_offset : float option;
-  backend : Linsys.backend option;
-  krylov : Linsys.krylov option;
   budget_s : float option;
   domains : int option;
   events : bool;  (* stream phase events back while computing *)
@@ -251,41 +249,20 @@ let parse_request line =
     | "run" -> (
       match str "deck" with
       | None -> Error "run request without a \"deck\" field"
-      | Some deck_text -> (
-        let backend =
-          match str "backend" with
-          | None -> Ok None
-          | Some s -> (
-            match Linsys.backend_of_string s with
-            | Some b -> Ok (Some b)
-            | None -> Error ("bad backend " ^ s))
-        in
-        let krylov =
-          match str "krylov" with
-          | None -> Ok None
-          | Some s -> (
-            match Linsys.krylov_of_string s with
-            | Some k -> Ok (Some k)
-            | None -> Error ("bad krylov " ^ s))
-        in
-        match backend, krylov with
-        | Error m, _ | _, Error m -> Error m
-        | Ok backend, Ok krylov ->
-          Ok
-            (`Run
-               {
-                 jid = Option.value (str "id") ~default:"";
-                 req = 0;  (* stamped by handle_line *)
-                 enqueued_at = 0.0;
-                 deck_text;
-                 steps = Option.map int_of_float (num "steps");
-                 f_offset = num "f_offset";
-                 backend;
-                 krylov;
-                 budget_s = num "budget_s";
-                 domains = Option.map int_of_float (num "domains");
-                 events = flag "events";
-               })))
+      | Some deck_text ->
+        Ok
+          (`Run
+             {
+               jid = Option.value (str "id") ~default:"";
+               req = 0;  (* stamped by handle_line *)
+               enqueued_at = 0.0;
+               deck_text;
+               steps = Option.map int_of_float (num "steps");
+               f_offset = num "f_offset";
+               budget_s = num "budget_s";
+               domains = Option.map int_of_float (num "domains");
+               events = flag "events";
+             }))
     | op -> Error ("unknown op " ^ op))
 
 (* ------------------------------------------------------------------ *)
@@ -387,8 +364,8 @@ let run_job st conn job =
     let req =
       Spice_job.request
         ~domains:(Option.value job.domains ~default:st.cfg.job_domains)
-        ?steps:job.steps ?f_offset:job.f_offset ?backend:job.backend
-        ?krylov:job.krylov ?budget ?cache:st.cfg.cache deck
+        ?steps:job.steps ?f_offset:job.f_offset ?budget ?cache:st.cfg.cache
+        deck
     in
     let out =
       with_progress conn job (fun () ->
@@ -675,8 +652,8 @@ let run cfg =
 (* ------------------------------------------------------------------ *)
 (* client side: varsim submit *)
 
-let request_json ?(id = "") ?steps ?f_offset ?backend ?krylov ?budget_s
-    ?domains ?(events = false) deck_text =
+let request_json ?(id = "") ?steps ?f_offset ?budget_s ?domains
+    ?(events = false) deck_text =
   let b = Buffer.create (String.length deck_text + 128) in
   Buffer.add_string b
     (Printf.sprintf "{\"op\":\"run\",\"id\":\"%s\",\"deck\":\"%s\"" (esc id)
@@ -686,16 +663,6 @@ let request_json ?(id = "") ?steps ?f_offset ?backend ?krylov ?budget_s
    | None -> ());
   (match f_offset with
    | Some f -> Buffer.add_string b (Printf.sprintf ",\"f_offset\":%.17g" f)
-   | None -> ());
-  (match backend with
-   | Some bk ->
-     Buffer.add_string b
-       (Printf.sprintf ",\"backend\":\"%s\"" (Linsys.backend_to_string bk))
-   | None -> ());
-  (match krylov with
-   | Some k ->
-     Buffer.add_string b
-       (Printf.sprintf ",\"krylov\":\"%s\"" (Linsys.krylov_to_string k))
    | None -> ());
   (match budget_s with
    | Some s -> Buffer.add_string b (Printf.sprintf ",\"budget_s\":%.17g" s)

@@ -55,9 +55,8 @@ val run : config -> unit
 (** {1 Client side} *)
 
 val request_json :
-  ?id:string -> ?steps:int -> ?f_offset:float -> ?backend:Linsys.backend ->
-  ?krylov:Linsys.krylov -> ?budget_s:float -> ?domains:int ->
-  ?events:bool -> string -> string
+  ?id:string -> ?steps:int -> ?f_offset:float -> ?budget_s:float ->
+  ?domains:int -> ?events:bool -> string -> string
 (** [request_json deck_text] builds a one-line run request.  [events]
     asks the server to stream phase events while the job runs. *)
 

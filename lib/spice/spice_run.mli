@@ -26,14 +26,17 @@ val execute :
   ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
   Spice_elab.t -> Spice_ast.analysis -> result
 (** Run one analysis card against the deck's circuit, no printing.
-    [domains] parallelizes the LPTV/PNOISE passes; [backend] picks the
-    linear solver (dense / sparse / auto); [krylov] the matrix-free
-    wrap policy (auto / on / off); [policy] and [budget] thread into
-    the nonlinear engines (docs/robustness.md) — the LTI analyses
-    ([.ac], [.noise], [.dcmatch]) are direct solves and ignore them.
+    [domains] parallelizes the LPTV/PNOISE passes; [policy] and
+    [budget] thread into the nonlinear engines (docs/robustness.md) —
+    the LTI analyses ([.ac], [.noise], [.dcmatch]) are direct solves
+    and ignore them.
     [cache] warm-starts the mismatch cards' PSS/PNOISE phases from
     previously converged state (bit-identical either way; see
-    {!Analysis.prepare} and docs/serving.md). *)
+    {!Analysis.prepare} and docs/serving.md).
+
+    [backend] and [krylov] are ignored.  They remain only because the
+    benchmark's trace driver (varbench/trace/vtrace.ml) passes them; the
+    next change to the benchmark removes them. *)
 
 val render :
   Format.formatter -> Spice_elab.t -> Spice_ast.analysis -> result -> unit
@@ -42,14 +45,12 @@ val render :
 
 val run_analysis :
   ?domains:int -> ?steps:int -> ?f_offset:float ->
-  ?backend:Linsys.backend -> ?krylov:Linsys.krylov ->
   ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
   Format.formatter -> Spice_elab.t -> Spice_ast.analysis -> unit
 (** [execute] + [render]. *)
 
 val run :
   ?domains:int -> ?steps:int -> ?f_offset:float ->
-  ?backend:Linsys.backend -> ?krylov:Linsys.krylov ->
   ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
   Format.formatter -> Spice_elab.t -> unit
 (** Run every card in deck order.  A deck with no cards gets an [.op].

@@ -1,4 +1,4 @@
-type value = Num of float | Sym of string
+type value = Num of float
 
 type axis = { axis_name : string; values : value list }
 
@@ -12,8 +12,6 @@ type t = {
   output : string;
   period : float option;
   steps : int option;
-  backend : Linsys.backend;
-  krylov : Linsys.krylov;
   axes : axis list;
   point_budget_s : float option;
   max_retries : int;
@@ -22,7 +20,7 @@ type t = {
 
 type point = { id : int; assigns : (string * value) list }
 
-let engine_axis_names = [ "steps"; "period"; "backend"; "krylov" ]
+let engine_axis_names = [ "steps"; "period" ]
 
 let cell_param_names = function
   | "mirror" -> [ "i_ref"; "w"; "l"; "r_load"; "vdd" ]
@@ -35,9 +33,7 @@ let cell_param_names = function
 
 let known_cells = [ "mirror"; "comparator"; "ringosc" ]
 
-let value_to_string = function
-  | Num v -> Printf.sprintf "%.17g" v
-  | Sym s -> s
+let value_to_string (Num v) = Printf.sprintf "%.17g" v
 
 (* ------------------------------------------------------------------ *)
 (* parsing *)
@@ -55,19 +51,8 @@ let analysis_to_string = function
   | Mismatch -> "mismatch"
   | Freq -> "freq"
 
-(* one axis value: a SPICE-suffixed number or a bare symbol *)
-let parse_value tok =
-  match Spice_lexer.parse_number tok with
-  | Some v -> Some (Num v)
-  | None ->
-    let sym_ok =
-      tok <> ""
-      && String.for_all
-           (fun c ->
-             (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_')
-           tok
-    in
-    if sym_ok then Some (Sym tok) else None
+(* one axis value: a SPICE-suffixed number *)
+let parse_value tok = Option.map (fun v -> Num v) (Spice_lexer.parse_number tok)
 
 (* [lo:hi:n] linear ramp, or a comma list of values *)
 let parse_axis_values s =
@@ -107,8 +92,6 @@ type partial = {
   mutable p_output : string option;
   mutable p_period : float option;
   mutable p_steps : int option;
-  mutable p_backend : Linsys.backend;
-  mutable p_krylov : Linsys.krylov;
   mutable p_axes : axis list;  (* reversed *)
   mutable p_point_budget : float option;
   mutable p_max_retries : int;
@@ -122,8 +105,6 @@ let empty_partial () =
     p_output = None;
     p_period = None;
     p_steps = None;
-    p_backend = Linsys.Auto;
-    p_krylov = Linsys.Kauto;
     p_axes = [];
     p_point_budget = None;
     p_max_retries = 2;
@@ -215,20 +196,6 @@ let parse_line p ln line =
            Ok ()
          | _ -> err "steps: expected an integer >= 2"
        end
-       | "backend", _ -> begin
-         match Linsys.backend_of_string v with
-         | Some b ->
-           p.p_backend <- b;
-           Ok ()
-         | None -> err "backend: expected dense, sparse or auto"
-       end
-       | "krylov", _ -> begin
-         match Linsys.krylov_of_string v with
-         | Some k ->
-           p.p_krylov <- k;
-           Ok ()
-         | None -> err "krylov: expected auto, on or off"
-       end
        | "point-budget", _ -> begin
          match positive_number v with
          | Some x ->
@@ -306,8 +273,6 @@ let validate p =
               output;
               period;
               steps = p.p_steps;
-              backend = p.p_backend;
-              krylov = p.p_krylov;
               axes;
               point_budget_s = p.p_point_budget;
               max_retries = p.p_max_retries;
@@ -398,8 +363,6 @@ let point_hash spec point =
   (match spec.steps with
    | Some s -> Fingerprint.field fp "S" (string_of_int s)
    | None -> ());
-  Fingerprint.str fp (Linsys.backend_to_string spec.backend);
-  Fingerprint.str fp (Linsys.krylov_to_string spec.krylov);
   Fingerprint.list fp
     (fun fp (name, v) -> Fingerprint.field fp name (value_to_string v))
     point.assigns;

@@ -14,14 +14,12 @@
     output = out
     sweep w   = 1u, 2u, 4u, 8u
     sweep vdd = 1.1, 1.2
-    backend = auto
     max-retries = 2
     v}
 
-    Axis values are comma lists of SPICE-suffixed numbers (or bare
-    words for the symbolic engine axes [backend]/[krylov]); [lo:hi:n]
+    Axis values are comma lists of SPICE-suffixed numbers; [lo:hi:n]
     expands to a linear ramp of [n] values.  Engine axes ([steps],
-    [period], [backend], [krylov]) apply to any target; every other
+    [period]) apply to any target; every other
     axis name must be a parameter of the built-in cell being swept
     (deck elements carry no override hooks).
 
@@ -30,7 +28,7 @@
     target, the reading, the engine knobs and the point's parameter
     assignment — the resume key of the sweep journal. *)
 
-type value = Num of float | Sym of string
+type value = Num of float
 
 type axis = { axis_name : string; values : value list }
 
@@ -50,8 +48,6 @@ type t = {
   output : string;  (** node read by the metric (anchor for [Freq]) *)
   period : float option;  (** PSS fundamental for [Mismatch] *)
   steps : int option;  (** PSS grid steps override *)
-  backend : Linsys.backend;
-  krylov : Linsys.krylov;
   axes : axis list;  (** declaration order; empty = one nominal point *)
   point_budget_s : float option;  (** per-point wall budget *)
   max_retries : int;  (** supervisor re-attempts per point (default 2) *)
@@ -90,12 +86,12 @@ val point_hash : t -> point -> string
     resuming over stale results.  Budgets and retry policy are
     deliberately excluded: re-running with a different budget must
     still recognize journaled points.  Journals written by the v1
-    scheme are treated as cold (docs/robustness.md). *)
+    scheme, or under the ["fp1"] fingerprint scheme, are treated as
+    cold (docs/robustness.md). *)
 
 val cell_param_names : string -> string list
 (** Sweepable parameter names of a built-in cell ([invalid_arg] on an
     unknown cell). *)
 
 val engine_axis_names : string list
-(** [["steps"; "period"; "backend"; "krylov"]] — axes honored by every
-    target. *)
+(** [["steps"; "period"]] — axes honored by every target. *)

@@ -12,19 +12,9 @@ type result = {
 let num_assign point name =
   match List.assoc_opt name point.Sweep_spec.assigns with
   | Some (Sweep_spec.Num v) -> Some v
-  | Some (Sweep_spec.Sym _) | None -> None
+  | None -> None
 
-let sym_assign point name =
-  match List.assoc_opt name point.Sweep_spec.assigns with
-  | Some (Sweep_spec.Sym s) -> Some s
-  | Some (Sweep_spec.Num _) | None -> None
-
-type knobs = {
-  steps : int option;
-  period : float option;
-  backend : Linsys.backend;
-  krylov : Linsys.krylov;
-}
+type knobs = { steps : int option; period : float option }
 
 let knobs_of (spec : Sweep_spec.t) point =
   {
@@ -36,25 +26,12 @@ let knobs_of (spec : Sweep_spec.t) point =
       (match num_assign point "period" with
        | Some v -> Some v
        | None -> spec.Sweep_spec.period);
-    backend =
-      (match sym_assign point "backend" with
-       | Some s -> Option.value (Linsys.backend_of_string s)
-                     ~default:spec.Sweep_spec.backend
-       | None -> spec.Sweep_spec.backend);
-    krylov =
-      (match sym_assign point "krylov" with
-       | Some s -> Option.value (Linsys.krylov_of_string s)
-                     ~default:spec.Sweep_spec.krylov
-       | None -> spec.Sweep_spec.krylov);
   }
 
 let mirror_params point =
   let p = ref Current_mirror.default_params in
   List.iter
-    (fun (name, v) ->
-      match v with
-      | Sweep_spec.Sym _ -> ()
-      | Sweep_spec.Num v -> (
+    (fun (name, Sweep_spec.Num v) ->
         let q = !p in
         match name with
         | "i_ref" -> p := { q with Current_mirror.i_ref = v }
@@ -62,17 +39,14 @@ let mirror_params point =
         | "l" -> p := { q with Current_mirror.l = v }
         | "r_load" -> p := { q with Current_mirror.r_load = v }
         | "vdd" -> p := { q with Current_mirror.vdd = v }
-        | _ -> ()))
+        | _ -> ())
     point.Sweep_spec.assigns;
   !p
 
 let comparator_params point =
   let p = ref Strongarm.default_params in
   List.iter
-    (fun (name, v) ->
-      match v with
-      | Sweep_spec.Sym _ -> ()
-      | Sweep_spec.Num v -> (
+    (fun (name, Sweep_spec.Num v) ->
         let q = !p in
         match name with
         | "vdd" -> p := { q with Strongarm.vdd = v }
@@ -90,17 +64,14 @@ let comparator_params point =
         | "clk_transition" -> p := { q with Strongarm.clk_transition = v }
         | "gm_fb" -> p := { q with Strongarm.gm_fb = v }
         | "c_fb" -> p := { q with Strongarm.c_fb = v }
-        | _ -> ()))
+        | _ -> ())
     point.Sweep_spec.assigns;
   !p
 
 let ringosc_params point =
   let p = ref Ring_osc.default_params in
   List.iter
-    (fun (name, v) ->
-      match v with
-      | Sweep_spec.Sym _ -> ()
-      | Sweep_spec.Num v -> (
+    (fun (name, Sweep_spec.Num v) ->
         let q = !p in
         match name with
         | "vdd" -> p := { q with Ring_osc.vdd = v }
@@ -109,7 +80,7 @@ let ringosc_params point =
         | "l" -> p := { q with Ring_osc.l = v }
         | "c_stage" -> p := { q with Ring_osc.c_stage = v }
         | "mismatch_scale" -> p := { q with Ring_osc.mismatch_scale = v }
-        | _ -> ()))
+        | _ -> ())
     point.Sweep_spec.assigns;
   !p
 
@@ -122,14 +93,22 @@ let ringosc_params point =
    (and the process-global Linsys plan cache), so points that elaborate
    the same circuit with the same knobs warm-start each other —
    observable as fewer "symbolic.plan"/"pss.*" increments, never as
-   different values (docs/serving.md). *)
+   different values (docs/serving.md).  Domain-isolated points reach it
+   concurrently, and forcing a [lazy] from two domains at once raises
+   [Lazy.Undefined], so the first use is serialized by a mutex. *)
 let point_cache =
-  lazy
-    (match Cache.create () with Ok c -> Some c | Error _ -> None)
+  let m = Mutex.create () and cache = ref None in
+  fun () ->
+    Mutex.protect m (fun () ->
+        match !cache with
+        | Some c -> c
+        | None ->
+          let c = match Cache.create () with Ok c -> Some c | Error _ -> None in
+          cache := Some c;
+          c)
 
 let compute (spec : Sweep_spec.t) point ~policy ~budget =
   let k = knobs_of spec point in
-  let backend = k.backend and krylov = k.krylov in
   let circuit, period, f_guess =
     match spec.Sweep_spec.target with
     | Sweep_spec.Deck path ->
@@ -185,8 +164,8 @@ let compute (spec : Sweep_spec.t) point ~policy ~budget =
   in
   let deck = { Spice_elab.title = ""; circuit; analyses = [] } in
   match
-    Spice_run.execute ?steps:k.steps ~backend ~krylov ~policy ?budget
-      ?cache:(Lazy.force point_cache) deck card
+    Spice_run.execute ?steps:k.steps ~policy ?budget
+      ?cache:(point_cache ()) deck card
   with
   | Spice_run.R_op x -> ("v", x.(Circuit.node_row circuit output))
   | Spice_run.R_dc_match rep -> ("sigma", rep.Sens.sigma)

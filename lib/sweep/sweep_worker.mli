@@ -23,7 +23,7 @@ type result = {
 val run_point :
   ?budget_s:float -> Sweep_spec.t -> Sweep_spec.point -> result
 (** Run one point in-process.  [`Degraded] is a completed reading that
-    needed backend degradations; [`Failed] carries
+    needed sparse→dense or krylov fallbacks; [`Failed] carries
     {!Resilient.describe} of the typed failure. *)
 
 val result_to_entry :

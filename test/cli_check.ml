@@ -153,7 +153,7 @@ let () =
 
   (* a deck target sweeps too *)
   write_file "deck.spec"
-    "deck = mirror.sp\nanalysis = op\noutput = out\nsweep backend = dense, sparse\n";
+    "deck = mirror.sp\nanalysis = op\noutput = out\nsweep steps = 100, 200\n";
   let code, _ = run [ "sweep"; "deck.spec"; "-o"; "dk" ] in
   check "deck-target sweep exits 0" (code = 0);
 

@@ -102,9 +102,26 @@ let test_job_fingerprint_knobs () =
   in
   ne "steps is a result-shaping knob" (Spice_job.request ~steps:400 deck);
   ne "f_offset is a result-shaping knob"
-    (Spice_job.request ~f_offset:2.0 deck);
-  ne "backend is a result-shaping knob"
-    (Spice_job.request ~backend:Linsys.Dense deck)
+    (Spice_job.request ~f_offset:2.0 deck)
+
+(* The job key the fp1 fingerprint scheme gave [deck_a] under default
+   knobs, recorded from a build of that scheme.  fp1 computed circuits
+   this small with dense arithmetic; a cache directory written then
+   must go cold, never replay those bytes as current results. *)
+let fp1_job_key_deck_a = "d560bfcef30fc3da07c84d2acd8800ca"
+
+let test_fp1_result_is_a_miss () =
+  with_temp_dir @@ fun dir ->
+  let deck = Spice_elab.load_string deck_a in
+  let stale = "dense-arithmetic bytes cached under fp1\n" in
+  Cache.put_result (disk_cache dir) (fp1_job_key_deck_a ^ "|result") stale;
+  let req = Spice_job.request ~cache:(disk_cache dir) deck in
+  Alcotest.(check bool) "the job key moved off the fp1 key" false
+    (String.equal fp1_job_key_deck_a (Spice_job.fingerprint req));
+  let o = Spice_job.submit req in
+  Alcotest.(check bool) "the fp1 entry is a miss" false o.Spice_job.cache_hit;
+  Alcotest.(check bool) "its bytes are never replayed" false
+    (String.equal stale o.Spice_job.output)
 
 (* ------------------------------------------------------------- LRU *)
 
@@ -256,6 +273,10 @@ let pss_deck =
    .mismatch out pss=10n\n\
    .end\n"
 
+(* Two recomputed runs may render different wall-clock runtimes — the
+   numbers may not (byte identity only holds for replayed bytes). *)
+let strip_runtime s = Str.global_replace (Str.regexp "([0-9.]+s)") "(-)" s
+
 let test_job_result_cache_byte_identity () =
   with_obs @@ fun () ->
   let deck = Spice_elab.load_string pss_deck in
@@ -310,7 +331,7 @@ let test_job_cache_fault_compute_through () =
   let a = Spice_job.submit (Spice_job.request ~cache:(disk_cache dir) deck) in
   let b = Spice_job.submit (Spice_job.request ~cache:(disk_cache dir) deck) in
   Alcotest.(check string) "results identical under a faulty cache"
-    a.Spice_job.output b.Spice_job.output;
+    (strip_runtime a.Spice_job.output) (strip_runtime b.Spice_job.output);
   Alcotest.(check bool) "faulted disk never serves a hit" false
     b.Spice_job.cache_hit;
   Alcotest.(check bool) "read errors surfaced in counters" true
@@ -331,12 +352,6 @@ let test_job_engine_faults_block_caching () =
   let under = Spice_job.submit (Spice_job.request ~cache deck) in
   Alcotest.(check bool) "no hit while an engine site is armed" false
     under.Spice_job.cache_hit;
-  (* recomputed, so the rendered wall-clock runtime may differ — the
-     numbers may not (the replay path is exercised above; byte
-     identity only holds for replayed bytes) *)
-  let strip_runtime s =
-    Str.global_replace (Str.regexp "([0-9.]+s)") "(-)" s
-  in
   Alcotest.(check string) "recomputed numbers still identical"
     (strip_runtime clean.Spice_job.output)
     (strip_runtime under.Spice_job.output)
@@ -382,6 +397,8 @@ let () =
             test_fingerprint_invariance;
           Alcotest.test_case "sensitivity" `Quick test_fingerprint_sensitivity;
           Alcotest.test_case "job knobs" `Quick test_job_fingerprint_knobs;
+          Alcotest.test_case "fp1 result is a miss" `Quick
+            test_fp1_result_is_a_miss;
         ] );
       ( "lru",
         [

@@ -1,12 +1,14 @@
-(* Matrix-free Krylov path vs the dense monodromy path.
+(* Matrix-free Krylov path vs the dense monodromy oracle.
 
-   Two families of guarantees (ISSUE 6 / docs/solver.md):
+   Two families of guarantees (docs/solver.md):
    - parity: on any circuit, shooting through GMRES and LPTV wrap
-     solves through GMRES read the same physics as the dense
-     factorizations, across both linear-solver backends;
-   - resilience: an injected GMRES stagnation takes the dense fallback
-     rung, is counted like sparse→dense degradation, and leaves the
-     results bit-identical to a dense-only run. *)
+     solves through GMRES read the same physics as the dense rungs
+     (forced by failing "pss.gmres"/"lptv.gmres" at every visit), with
+     and without the step systems themselves on the dense Lu rung
+     ("linsys.splu");
+   - resilience: a GMRES stagnation takes the dense fallback rung, is
+     counted like sparse→dense degradation, and latches: stagnating
+     once or at every visit gives bit-identical results. *)
 
 let with_obs f =
   Obs.enable ();
@@ -57,8 +59,7 @@ let test_gmres_dense_system () =
 (* ------------------------------------------- random driven circuits *)
 
 (* periodically driven RC ladder with a MOSFET load: time-varying PSS,
-   branch row from the source, sizes far below Linsys.auto_threshold so
-   krylov/backends are forced explicitly *)
+   branch row from the source *)
 let random_driven_circuit rng n =
   let b = Builder.create () in
   Builder.vsource b "VIN" "vdd" "0"
@@ -79,8 +80,19 @@ let random_driven_circuit rng n =
     ~w:2e-6 ~l:0.13e-6 ();
   Builder.finish b
 
-let solve_pss ~backend ~krylov c =
-  Pss.solve ~steps:32 ~backend ~krylov c ~period:1e-6
+let solve_pss c = Pss.solve ~steps:32 c ~period:1e-6
+
+(* run [f] with each of [sites] failing at every visit *)
+let with_failing sites f =
+  Faultsim.arm
+    (List.map
+       (fun site -> { Faultsim.site; visit = -1; fault = Faultsim.Singular 0 })
+       sites);
+  Fun.protect ~finally:Faultsim.disarm f
+
+(* the dense oracles: the shooting/wrap rung alone, and with every step
+   factorization on the dense Lu rung as well *)
+let oracles wrap_site = [ [ wrap_site ]; [ wrap_site; "linsys.splu" ] ]
 
 (* -------------------------------------------------- QCheck parity *)
 
@@ -89,13 +101,14 @@ let prop_floquet_parity =
     ~name:"PSS shooting: krylov Floquet multipliers match dense"
     QCheck.(pair (int_bound 10_000) (int_range 2 6))
     (fun (seed, n) ->
+      let c = random_driven_circuit (Rng.create (seed + 3)) n in
+      let mk = Pss.floquet_multipliers (solve_pss c) in
       List.for_all
-        (fun backend ->
-          let c = random_driven_circuit (Rng.create (seed + 3)) n in
-          let pd = solve_pss ~backend ~krylov:Linsys.Koff c in
-          let pk = solve_pss ~backend ~krylov:Linsys.Kon c in
-          let md = Pss.floquet_multipliers pd in
-          let mk = Pss.floquet_multipliers pk in
+        (fun sites ->
+          let md =
+            with_failing sites (fun () ->
+                Pss.floquet_multipliers (solve_pss c))
+          in
           let scale =
             Array.fold_left (fun acc m -> Float.max acc (Cx.abs m)) 1e-30 md
           in
@@ -103,28 +116,26 @@ let prop_floquet_parity =
           && Array.for_all2
                (fun a b -> Cx.abs (Cx.( -: ) a b) <= 1e-8 *. scale)
                md mk)
-        [ Linsys.Dense; Linsys.Sparse ])
+        (oracles "pss.gmres"))
 
 let prop_pnoise_parity =
   QCheck.Test.make ~count:8
     ~name:"PNOISE: krylov wrap solves match the dense factorization"
     QCheck.(pair (int_bound 10_000) (int_range 2 6))
     (fun (seed, n) ->
-      List.for_all
-        (fun backend ->
-          let c = random_driven_circuit (Rng.create (seed + 5)) n in
-          (* one PSS shared by both wrap treatments: the comparison
-             isolates the LPTV layer *)
-          let pss = solve_pss ~backend ~krylov:Linsys.Koff c in
-          let total krylov =
-            let lptv = Lptv.build ~backend ~krylov pss ~f_offset:1.0 in
-            let sources = Pnoise.mismatch_sources lptv in
-            let sb = Pnoise.analyze lptv ~output:"n1" ~harmonic:0 ~sources in
-            sb.Pnoise.total_psd
-          in
-          let d = total Linsys.Koff and k = total Linsys.Kon in
-          Float.abs (d -. k) <= 1e-9 *. Float.abs d)
-        [ Linsys.Dense; Linsys.Sparse ])
+      let c = random_driven_circuit (Rng.create (seed + 5)) n in
+      (* one PSS shared by both wrap treatments: the comparison
+         isolates the LPTV layer *)
+      let pss = solve_pss c in
+      let total () =
+        let lptv = Lptv.build pss ~f_offset:1.0 in
+        let sources = Pnoise.mismatch_sources lptv in
+        let sb = Pnoise.analyze lptv ~output:"n1" ~harmonic:0 ~sources in
+        sb.Pnoise.total_psd
+      in
+      let k = total () in
+      let d = with_failing [ "lptv.gmres" ] total in
+      Float.abs (d -. k) <= 1e-9 *. Float.abs d)
 
 (* ------------------------------------- sigma_waveform reading parity *)
 
@@ -163,8 +174,8 @@ let test_krylov_path_forms_no_dense_monodromy () =
   let rng = Rng.create 99 in
   let c = random_driven_circuit rng 6 in
   with_obs (fun () ->
-      let pss = solve_pss ~backend:Linsys.Sparse ~krylov:Linsys.Kon c in
-      let lptv = Lptv.build ~krylov:Linsys.Kon pss ~f_offset:1.0 in
+      let pss = solve_pss c in
+      let lptv = Lptv.build pss ~f_offset:1.0 in
       let sources = Pnoise.mismatch_sources lptv in
       ignore (Pnoise.analyze lptv ~output:"n1" ~harmonic:0 ~sources);
       Alcotest.(check int) "no dense monodromy in shooting" 0
@@ -176,57 +187,57 @@ let test_krylov_path_forms_no_dense_monodromy () =
 
 (* --------------------------------------- stagnation-injection rung *)
 
+(* A stagnation drops the rest of the run onto the dense rung, so one
+   stagnation at the first visit and a stagnation at every visit must
+   produce the same bits. *)
+let stagnating site ~visit f =
+  Faultsim.arm [ { Faultsim.site; visit; fault = Faultsim.Nan } ];
+  Fun.protect ~finally:Faultsim.disarm f
+
 let test_pss_stagnation_fallback () =
   let c = random_driven_circuit (Rng.create 7) 5 in
-  let reference = solve_pss ~backend:Linsys.Sparse ~krylov:Linsys.Koff c in
+  let reference = solve_pss c in
   let k0 = Linsys.krylov_fallback_count () in
-  let faulted =
-    Faultsim.arm [ { Faultsim.site = "pss.gmres"; visit = -1; fault = Faultsim.Nan } ];
-    Fun.protect ~finally:Faultsim.disarm (fun () ->
-        solve_pss ~backend:Linsys.Sparse ~krylov:Linsys.Kon c)
-  in
+  let once = stagnating "pss.gmres" ~visit:0 (fun () -> solve_pss c) in
   Alcotest.(check bool) "fallback counted" true
     (Linsys.krylov_fallback_count () > k0);
-  (* the dense rung must be *bit*-identical to a dense-only run: the
-     fallback rebuilds the monodromy with the exact op sequence of the
-     dense sweep *)
-  let worst = ref 0.0 in
+  let always = stagnating "pss.gmres" ~visit:(-1) (fun () -> solve_pss c) in
+  let worst = ref 0.0 and drift = ref 0.0 in
   Array.iteri
     (fun k st ->
-      worst := Float.max !worst (Vec.dist_inf st reference.Pss.states.(k)))
-    faulted.Pss.states;
-  Alcotest.(check (float 0.0)) "trajectory bit-identical" 0.0 !worst
+      worst := Float.max !worst (Vec.dist_inf st always.Pss.states.(k));
+      drift := Float.max !drift (Vec.dist_inf st reference.Pss.states.(k)))
+    once.Pss.states;
+  Alcotest.(check (float 0.0)) "trajectory bit-identical" 0.0 !worst;
+  Alcotest.(check bool) "dense rung converges to the krylov orbit" true
+    (!drift <= 1e-6)
 
 let test_lptv_stagnation_fallback () =
   let c = random_driven_circuit (Rng.create 8) 5 in
   let pss = Pss.solve ~steps:32 c ~period:1e-6 in
-  let run krylov =
-    let lptv = Lptv.build ~backend:Linsys.Sparse ~krylov pss ~f_offset:1.0 in
+  let run () =
+    let lptv = Lptv.build pss ~f_offset:1.0 in
     let sources = Pnoise.mismatch_sources lptv in
     let sb = Pnoise.analyze lptv ~output:"n1" ~harmonic:0 ~sources in
     let row = Circuit.node_row c "n1" in
     let p = Lptv.solve_source lptv (Lptv.constant_injection [ (row, 1e-6) ]) in
     (sb.Pnoise.total_psd, p)
   in
-  let psd_dense, p_dense = run Linsys.Koff in
   let k0 = Linsys.krylov_fallback_count () in
-  let psd_faulted, p_faulted =
-    Faultsim.arm
-      [ { Faultsim.site = "lptv.gmres"; visit = -1; fault = Faultsim.Nan } ];
-    Fun.protect ~finally:Faultsim.disarm (fun () -> run Linsys.Kon)
-  in
+  let psd_once, p_once = stagnating "lptv.gmres" ~visit:0 run in
   Alcotest.(check bool) "fallback counted" true
     (Linsys.krylov_fallback_count () > k0);
-  Alcotest.(check (float 0.0)) "total_psd bit-identical" psd_dense psd_faulted;
+  let psd_always, p_always = stagnating "lptv.gmres" ~visit:(-1) run in
+  Alcotest.(check (float 0.0)) "total_psd bit-identical" psd_always psd_once;
   let identical = ref true in
   Array.iteri
     (fun k pk ->
       Array.iteri
         (fun i z ->
-          let w = p_dense.(k).(i) in
+          let w = p_always.(k).(i) in
           if z.Cx.re <> w.Cx.re || z.Cx.im <> w.Cx.im then identical := false)
         pk)
-    p_faulted;
+    p_once;
   Alcotest.(check bool) "responses bit-identical" true !identical
 
 let () =

@@ -1,7 +1,7 @@
 (* Tests for the sparse solver stack: Coo assembly, Csr kernels,
    Symbolic orderings, and Splu/Csplu against the dense references.
-   Engine-level sparse-vs-dense parity lives at the bottom; the QCheck
-   generators build random RCL+MOSFET circuits. *)
+   Engine-level parity against the dense oracle lives at the bottom;
+   the QCheck generators build random RCL+MOSFET circuits. *)
 
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
@@ -231,9 +231,7 @@ let test_csplu_vs_dense () =
 
 (* Random RC ladder behind a voltage source (the branch row gives the
    MNA matrix a structurally zero diagonal, so the sparse LU must
-   pivot off-diagonal) plus a MOSFET load for nonlinearity.  All sizes
-   here are far below [Linsys.auto_threshold], so the backends are
-   forced explicitly. *)
+   pivot off-diagonal) plus a MOSFET load for nonlinearity. *)
 let random_mna_circuit rng n =
   let b = Builder.create () in
   Builder.vdc b "VDD" "vdd" "0" 1.2;
@@ -261,13 +259,21 @@ let rel_dist_inf a b =
     a;
   !err /. !scale
 
+(* The dense oracle: with "linsys.splu" failing at every visit each
+   real factorization takes Linsys's dense Lu rung on the same values;
+   with "lptv.gmres" failing every LPTV wrap solve takes the dense
+   Φ(ω) rung. *)
+let with_dense_oracle site f =
+  Faultsim.arm [ { Faultsim.site; visit = -1; fault = Faultsim.Singular 0 } ];
+  Fun.protect ~finally:Faultsim.disarm f
+
 let prop_dc_parity =
   QCheck.Test.make ~count:30 ~name:"DC solve: sparse backend matches dense"
     QCheck.(pair (int_bound 10_000) (int_range 2 8))
     (fun (seed, n) ->
       let c = Builder.finish (random_mna_circuit (Rng.create (seed + 7)) n) in
-      let xd = Dc.solve ~backend:Linsys.Dense c in
-      let xs = Dc.solve ~backend:Linsys.Sparse c in
+      let xd = with_dense_oracle "linsys.splu" (fun () -> Dc.solve c) in
+      let xs = Dc.solve c in
       rel_dist_inf xd xs < 1e-9)
 
 let prop_tran_parity =
@@ -282,18 +288,65 @@ let prop_tran_parity =
              { Wave.offset = 0.0; ampl = 1e-4; freq = 1e7; phase_deg = 0.0 });
         Builder.finish b
       in
-      let run backend =
-        Tran.run ~backend c ~tstart:0.0 ~tstop:2e-7 ~dt:1e-8 ()
-      in
-      let wd = run Linsys.Dense and ws = run Linsys.Sparse in
+      let run () = Tran.run c ~tstart:0.0 ~tstop:2e-7 ~dt:1e-8 () in
+      let wd = with_dense_oracle "linsys.splu" run and ws = run () in
       let last = Waveform.length wd - 1 in
       Waveform.length ws = Waveform.length wd
       && rel_dist_inf wd.Waveform.states.(last) ws.Waveform.states.(last)
          < 1e-9)
 
+(* The LPTV step factors M_k = C(1/h + jω) + G(t_k) on a PSS grid,
+   stamped as Lptv.build stamps them, solved by Csplu and by dense Clu
+   on the same values. *)
+let step_factor_parity (pss : Pss.t) ~f_offset =
+  let circuit = pss.Pss.circuit in
+  let n = Circuit.size circuit in
+  let h = pss.Pss.period /. float_of_int pss.Pss.steps in
+  let omega = 2.0 *. Float.pi *. f_offset in
+  let pat = Stamp.pattern circuit in
+  let c_vals = Array.make (Csr.nnz pat) 0.0 in
+  Stamp.stamp_c circuit ~add:(fun i j v ->
+      let p = Csr.index pat i j in
+      c_vals.(p) <- c_vals.(p) +. v);
+  let rng = Rng.create 5 in
+  let worst = ref 0.0 in
+  for k = 1 to pss.Pss.steps do
+    let gcsr = Csr.copy pat in
+    Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12 ~x:pss.Pss.states.(k)
+      ~g:(Vec.create n) ~jac:(Some (Stamp.csr_sink gcsr)) ();
+    let zvals =
+      Array.mapi
+        (fun p g -> Cx.mk (g +. (c_vals.(p) /. h)) (omega *. c_vals.(p)))
+        gcsr.Csr.v
+    in
+    let dense = Cmat.create n n in
+    for i = 0 to n - 1 do
+      for p = pat.Csr.rp.(i) to pat.Csr.rp.(i + 1) - 1 do
+        Cmat.set dense i pat.Csr.ci.(p) zvals.(p)
+      done
+    done;
+    let fs = Csplu.factorize (Csplu.plan pat zvals) pat zvals in
+    let fd = Clu.factorize dense in
+    let b =
+      Cvec.init n (fun _ ->
+          Cx.mk (Rng.uniform_range rng (-1.0) 1.0)
+            (Rng.uniform_range rng (-1.0) 1.0))
+    in
+    let rel xs xd =
+      Cvec.norm_inf (Cvec.sub xs xd) /. Float.max 1e-300 (Cvec.norm_inf xd)
+    in
+    worst := Float.max !worst (rel (Csplu.solve fs b) (Clu.solve fd b));
+    worst :=
+      Float.max !worst
+        (rel (Csplu.solve_transpose fs b) (Clu.solve_transpose fd b))
+  done;
+  !worst
+
 (* End-to-end: LPTV build + adjoint PNOISE on the driven DAC-string
-   bench, sparse vs dense.  Mirrors the parity gate of bench/exp_sparse
-   at a size the unit tests can afford. *)
+   bench against the dense oracle — the matrix-free wrap against the
+   dense Φ(ω) rung on the PNOISE total, and every sparse step factor
+   against dense Clu.  Mirrors the parity gate of bench/exp_sparse at a
+   size the unit tests can afford. *)
 let test_pnoise_parity () =
   List.iter
     (fun codes ->
@@ -301,8 +354,8 @@ let test_pnoise_parity () =
       let freq = 1e6 in
       let circuit = Dac_string.testbench ~params ~freq () in
       let pss = Pss.solve ~steps:16 circuit ~period:(1.0 /. freq) in
-      let total backend =
-        let lptv = Lptv.build ~backend pss ~f_offset:1.0 in
+      let total () =
+        let lptv = Lptv.build pss ~f_offset:1.0 in
         let sources = Pnoise.mismatch_sources lptv in
         let sb =
           Pnoise.analyze lptv ~output:(Dac_string.tap (codes / 2)) ~harmonic:0
@@ -310,11 +363,16 @@ let test_pnoise_parity () =
         in
         sb.Pnoise.total_psd
       in
-      let d = total Linsys.Dense and s = total Linsys.Sparse in
+      let d = with_dense_oracle "lptv.gmres" total and s = total () in
       Alcotest.(check bool)
         (Printf.sprintf "PNOISE total parity at codes=%d" codes)
         true
-        (Float.abs (d -. s) < 1e-9 *. Float.abs d))
+        (Float.abs (d -. s) < 1e-9 *. Float.abs d);
+      let worst = step_factor_parity pss ~f_offset:1.0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "step factors Csplu = Clu at codes=%d (rel %.2g)" codes
+           worst)
+        true (worst < 1e-9))
     [ 6; 12 ]
 
 let () =

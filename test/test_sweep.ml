@@ -84,12 +84,8 @@ let test_point_hash () =
   in
   Alcotest.(check int) "all distinct" 4
     (List.length (List.sort_uniq compare hashes));
-  (* engine knobs are part of the identity... *)
-  let s' = { s with Sweep_spec.backend = Linsys.Dense } in
-  Alcotest.(check bool) "backend changes the hash" false
-    (Sweep_spec.point_hash s' pts.(0) = Sweep_spec.point_hash s pts.(0));
-  (* ...budgets and retry policy are not: resuming with a different
-     budget must still recognize journaled points *)
+  (* budgets and retry policy are not part of the identity: resuming
+     with a different budget must still recognize journaled points *)
   let s'' =
     { s with Sweep_spec.point_budget_s = Some 1.0; max_retries = 9;
       retry_backoff_s = 3.0 }
@@ -355,8 +351,7 @@ let test_warm_plan_cache_across_points () =
   Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
   let s =
     parse_ok
-      "cell = mirror\nanalysis = dcmatch\nbackend = sparse\n\
-       sweep steps = 100, 200, 300, 400\n"
+      "cell = mirror\nanalysis = dcmatch\nsweep steps = 100, 200, 300, 400\n"
   in
   let pts = Sweep_spec.expand s in
   Alcotest.(check int) "grid" 4 (Array.length pts);
