@@ -5,13 +5,17 @@
    The PSS itself is solved once per circuit and shared across the
    domain sweep — the point is the LPTV/PNOISE engine, not the shooting
    solver.  total_psd is recorded per case so any cross-domain or
-   cross-PR numerical drift is caught alongside the timings. *)
+   cross-PR numerical drift is caught alongside the timings.
+
+   A row with more domains than the host has cores is labelled
+   oversubscribed and never becomes recommended_domains (Util). *)
 
 type case = {
   circuit_name : string;
   steps : int;
   n_sources : int;
   domains : int;
+  oversubscribed : bool;
   build_s : float;
   analyze_s : float;
   total_psd : float;
@@ -34,8 +38,8 @@ let best_of reps f =
 (* one circuit: solve the PSS once, then sweep the lane count *)
 let sweep ~reps ~circuit_name ~pss ~output ~harmonic =
   Format.printf "@.%s (%d steps):@." circuit_name pss.Pss.steps;
-  Format.printf "  %7s %10s %10s %10s %14s@." "domains" "build [s]"
-    "pnoise [s]" "total [s]" "psd";
+  Format.printf "  %7s %10s %10s %10s %14s   (* = oversubscribed)@."
+    "domains" "build [s]" "pnoise [s]" "total [s]" "psd";
   List.map
     (fun domains ->
       let lptv, build_s =
@@ -46,13 +50,16 @@ let sweep ~reps ~circuit_name ~pss ~output ~harmonic =
         best_of reps (fun () ->
             Pnoise.analyze ~domains lptv ~output ~harmonic ~sources)
       in
-      Format.printf "  %7d %10.3f %10.3f %10.3f %14.6e@." domains build_s
-        analyze_s (build_s +. analyze_s) sb.Pnoise.total_psd;
+      let oversubscribed = Util.oversubscribed domains in
+      Format.printf "  %6d%s %10.3f %10.3f %10.3f %14.6e@." domains
+        (if oversubscribed then "*" else " ")
+        build_s analyze_s (build_s +. analyze_s) sb.Pnoise.total_psd;
       {
         circuit_name;
         steps = pss.Pss.steps;
         n_sources = Array.length sources;
         domains;
+        oversubscribed;
         build_s;
         analyze_s;
         total_psd = sb.Pnoise.total_psd;
@@ -62,19 +69,20 @@ let sweep ~reps ~circuit_name ~pss ~output ~harmonic =
 let json_of_case c =
   Printf.sprintf
     "    {\"circuit\": %S, \"steps\": %d, \"sources\": %d, \"domains\": %d, \
-     \"build_s\": %.6f, \"analyze_s\": %.6f, \"total_psd\": %.17g}"
-    c.circuit_name c.steps c.n_sources c.domains c.build_s c.analyze_s
-    c.total_psd
+     \"oversubscribed\": %b, \"build_s\": %.6f, \"analyze_s\": %.6f, \
+     \"total_psd\": %.17g}"
+    c.circuit_name c.steps c.n_sources c.domains c.oversubscribed c.build_s
+    c.analyze_s c.total_psd
 
-(* the lane count that actually won a circuit's sweep (build + analyze
-   wall time), not a host-wide guess *)
+let cost c = c.build_s +. c.analyze_s
+
+(* per circuit: the lane count that actually won its sweep (build +
+   analyze wall time) and the one recommended, the winner among the
+   rows that are not oversubscribed *)
 let winner_of cases name =
   let mine = List.filter (fun c -> c.circuit_name = name) cases in
-  List.fold_left
-    (fun acc c ->
-      if c.build_s +. c.analyze_s < acc.build_s +. acc.analyze_s then c
-      else acc)
-    (List.hd mine) mine
+  ( Util.cheapest ~cost mine,
+    Util.recommended ~domains:(fun c -> c.domains) ~cost mine )
 
 let write_json ~path cases =
   let names =
@@ -84,30 +92,31 @@ let write_json ~path cases =
       [] cases
   in
   let winners = List.map (winner_of cases) names in
-  (* the recommendation comes from the measured winner of the *largest*
-     case in the suite (steps × sources = the most engine work) — the
-     tiny decks underestimate what a lane is worth; per-case winners are
-     recorded alongside so the single number can't mislead *)
-  let largest =
+  (* the recommendation comes from the *largest* case in the suite
+     (steps × sources = the most engine work) — the tiny decks
+     underestimate what a lane is worth; per-case winners are recorded
+     alongside so the single number can't mislead *)
+  let _, largest =
     List.fold_left
-      (fun acc c ->
-        if c.steps * c.n_sources > acc.steps * acc.n_sources then c else acc)
+      (fun ((w, _) as acc) ((c, _) as cand) ->
+        if c.steps * c.n_sources > w.steps * w.n_sources then cand else acc)
       (List.hd winners) winners
   in
   let oc = open_out path in
   output_string oc "{\n";
   Printf.fprintf oc "  \"bench\": \"pnoise\",\n";
-  Printf.fprintf oc "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
+  Printf.fprintf oc "  \"host_cores\": %d,\n" Util.host_cores;
   Printf.fprintf oc "  \"recommended_domains\": %d,\n" largest.domains;
   Printf.fprintf oc "  \"recommended_from\": %S,\n" largest.circuit_name;
   output_string oc "  \"winners\": [\n";
   output_string oc
     (String.concat ",\n"
        (List.map
-          (fun w ->
+          (fun (w, r) ->
             Printf.sprintf
-              "    {\"circuit\": %S, \"domains\": %d, \"total_s\": %.6f}"
-              w.circuit_name w.domains (w.build_s +. w.analyze_s))
+              "    {\"circuit\": %S, \"domains\": %d, \"total_s\": %.6f, \
+               \"recommended_domains\": %d}"
+              w.circuit_name w.domains (cost w) r.domains)
           winners));
   output_string oc "\n  ],\n";
   output_string oc "  \"cases\": [\n";
@@ -115,10 +124,9 @@ let write_json ~path cases =
   output_string oc "\n  ]\n}\n";
   close_out oc;
   List.iter
-    (fun w ->
-      Format.printf "  winner %s: %d domain(s) (%.3f s)@." w.circuit_name
-        w.domains
-        (w.build_s +. w.analyze_s))
+    (fun (w, r) ->
+      Format.printf "  winner %s: %d domain(s) (%.3f s), recommended %d@."
+        w.circuit_name w.domains (cost w) r.domains)
     winners;
   Format.printf "@.wrote %s  (recommended_domains %d, from %s)@." path
     largest.domains largest.circuit_name

@@ -39,8 +39,6 @@ type case = {
   total_psd : float;
 }
 
-let host_cores = Stdlib.Domain.recommended_domain_count ()
-
 (* run [f] with every LPTV wrap solve forced onto the dense Φ rung *)
 let dense_phi f =
   Faultsim.arm
@@ -74,7 +72,7 @@ let measure ~pss ~output ~sources_of ~mode ~domains =
   let _, sigma_s =
     Util.timed (fun () -> Pnoise.sigma_waveform ~domains lptv ~output ~sources)
   in
-  let oversubscribed = domains > host_cores in
+  let oversubscribed = Util.oversubscribed domains in
   Format.printf "  %9s %7d%s %10.3f %10.3f %10.3f %14.6e@." mode domains
     (if oversubscribed then "*" else " ")
     (build_s +. phi_s) analyze_s sigma_s sb.Pnoise.total_psd;
@@ -106,7 +104,7 @@ let write_json ~path ~measured_winner ~recommended_domains ~speedup cases =
   output_string oc "{\n";
   Printf.fprintf oc "  \"bench\": \"scale\",\n";
   Printf.fprintf oc "  \"size\": %d,\n" (List.hd cases).size;
-  Printf.fprintf oc "  \"host_cores\": %d,\n" host_cores;
+  Printf.fprintf oc "  \"host_cores\": %d,\n" Util.host_cores;
   Printf.fprintf oc "  \"measured_winner_domains\": %d,\n" measured_winner;
   Printf.fprintf oc "  \"recommended_domains\": %d,\n" recommended_domains;
   Printf.fprintf oc "  \"krylov_build_speedup_vs_dense_phi\": %.2f,\n" speedup;
@@ -177,18 +175,14 @@ let run ~quick =
      can actually run in parallel; oversubscribed rows are reported but
      never recommended *)
   let cost c = c.build_s +. c.analyze_s +. c.sigma_s in
-  let cheapest cs =
-    List.fold_left (fun acc c -> if cost c < cost acc then c else acc)
-      (List.hd cs) cs
-  in
-  let winner = cheapest krylov_cases in
+  let winner = Util.cheapest ~cost krylov_cases in
   let recommended =
-    cheapest (List.filter (fun c -> not c.oversubscribed) krylov_cases)
+    Util.recommended ~domains:(fun c -> c.domains) ~cost krylov_cases
   in
   Format.printf
     "  krylov domain sweep: measured winner %d of [1;2;4] on a %d-core host \
      -> recommended_domains %d@."
-    winner.domains host_cores recommended.domains;
+    winner.domains Util.host_cores recommended.domains;
   write_json ~path:"BENCH_scale.json" ~measured_winner:winner.domains
     ~recommended_domains:recommended.domains ~speedup cases;
   (* instrumented production pass: assert the matrix-free path never

@@ -23,6 +23,22 @@ let metrics_pass ~path f =
       Format.printf "wrote %s@." path)
     (fun () -> ignore (Obs.root "bench" f))
 
+(* Honest lane counts: a row that runs more domains than the host has
+   cores measures oversubscription, not parallel speedup.  Such rows are
+   labelled oversubscribed and never recommended. *)
+let host_cores = Domain.recommended_domain_count ()
+let oversubscribed domains = domains > host_cores
+
+(* the row of least [cost]; the first one wins a tie *)
+let cheapest ~cost rows =
+  List.fold_left
+    (fun acc r -> if cost r < cost acc then r else acc)
+    (List.hd rows) rows
+
+(* the measured winner among the rows the host can run in parallel *)
+let recommended ~domains ~cost rows =
+  cheapest ~cost (List.filter (fun r -> not (oversubscribed (domains r))) rows)
+
 (* 95% CI half-width (relative) of a sigma estimated from n samples *)
 let sigma_ci_pct n = 100.0 *. Stats.sigma_relative_ci_halfwidth n
 

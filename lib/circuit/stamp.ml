@@ -39,12 +39,6 @@ let stamp_c circuit ~add =
       | Device.Diode _ | Device.Bjt _ -> ())
     (Circuit.devices circuit)
 
-let c_matrix circuit =
-  let size = Circuit.size circuit in
-  let c = Mat.create size size in
-  stamp_c circuit ~add:(Mat.add_to c);
-  c
-
 type jac_sink = {
   js_clear : unit -> unit;
   js_add : int -> int -> float -> unit;
@@ -254,6 +248,28 @@ let pattern circuit = Csr.copy (shared_pattern circuit)
 let ordering circuit =
   memoized (Circuit.structure_memo circuit).ordering (fun () ->
       Symbolic.analyze (shared_pattern circuit))
+
+type cmat = { c : Csr.t; slot : int array }
+
+(* the stamps summed in stamp order, exact zeros dropped *)
+let cmat circuit =
+  let size = Circuit.size circuit in
+  let coo = Coo.create size size in
+  stamp_c circuit ~add:(Coo.add coo);
+  let summed = Coo.to_csr coo in
+  let nonzero = Coo.create ~capacity:(Csr.nnz summed) size size in
+  let pat = shared_pattern circuit in
+  let slots = ref [] in
+  for i = 0 to size - 1 do
+    for p = summed.Csr.rp.(i) to summed.Csr.rp.(i + 1) - 1 do
+      let j = summed.Csr.ci.(p) and v = summed.Csr.v.(p) in
+      if v <> 0.0 then begin
+        Coo.add nonzero i j v;
+        slots := Csr.index pat i j :: !slots
+      end
+    done
+  done;
+  { c = Coo.to_csr nonzero; slot = Array.of_list (List.rev !slots) }
 
 let injection circuit (p : Circuit.mismatch_param) ~x ?xdot () =
   let v = node_voltage x in

@@ -6,12 +6,9 @@
     equations.  The C matrix is bias-independent by construction (all
     device capacitances are constant), so it is assembled once. *)
 
-val c_matrix : Circuit.t -> Mat.t
-
 val stamp_c : Circuit.t -> add:(int -> int -> float -> unit) -> unit
 (** Stamp the constant C matrix through a callback, so callers build
-    dense or sparse storage from the same traversal ({!c_matrix} is
-    [stamp_c] into a fresh [Mat.t]). *)
+    dense or sparse storage from the same traversal. *)
 
 (** Where Jacobian stamps go.  The dense sink writes into a [Mat.t]
     exactly as the historical code did (bit-identical); the sparse sink
@@ -35,6 +32,21 @@ val pattern : Circuit.t -> Csr.t
 val ordering : Circuit.t -> Symbolic.t
 (** The default {!Symbolic.analyze} of {!pattern}, memoized next to it
     on first use. *)
+
+(** The constant C matrix in compact sparse form. *)
+type cmat = {
+  c : Csr.t;
+      (** the exact nonzeros of C, each the sum of its {!stamp_c}
+          contributions in stamp order *)
+  slot : int array;
+      (** [slot.(p)]: the position of [c]'s entry [p] in the value
+          array of {!pattern} (and of every copy of it), so step
+          matrices such as [C/h + G] add C without a search *)
+}
+
+val cmat : Circuit.t -> cmat
+(** Assemble C through {!stamp_c} and {!Coo}; never dense.  C depends
+    on device values, so it is built per circuit, not per topology. *)
 
 val eval :
   Circuit.t -> t:float -> ?gmin:float -> ?src_scale:float -> x:Vec.t ->

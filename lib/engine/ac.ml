@@ -7,8 +7,8 @@ type t = {
   circuit : Circuit.t;
   x_op : Vec.t;
   pat : Csr.t; (* pattern; v holds the stamped G values *)
-  c_vals : float array; (* C values aligned with pat's storage *)
-  mutable plan : Csplu.plan option;
+  c_mat : Stamp.cmat;
+  mutable plan : Splu.plan option;
 }
 
 let prepare ?x_op circuit =
@@ -16,11 +16,7 @@ let prepare ?x_op circuit =
   let g = Vec.create (Circuit.size circuit) in
   let pat = Stamp.pattern circuit in
   Stamp.eval circuit ~t:0.0 ~x:x_op ~g ~jac:(Some (Stamp.csr_sink pat)) ();
-  let c_vals = Array.make (Csr.nnz pat) 0.0 in
-  Stamp.stamp_c circuit ~add:(fun i j v ->
-      let p = Csr.index pat i j in
-      c_vals.(p) <- c_vals.(p) +. v);
-  { circuit; x_op; pat; c_vals; plan = None }
+  { circuit; x_op; pat; c_mat = Stamp.cmat circuit; plan = None }
 
 let operating_point t = t.x_op
 
@@ -30,24 +26,25 @@ let operating_point t = t.x_op
 let factorize t ~freq =
   let omega = 2.0 *. Float.pi *. freq in
   let gv = t.pat.Csr.v in
-  let zvals =
-    Array.init (Array.length gv) (fun p ->
-        Cx.mk gv.(p) (omega *. t.c_vals.(p)))
+  (* ω·0 off C keeps the sign a zero C entry would give *)
+  let zvals = Array.map (fun g -> Cx.mk g (omega *. 0.0)) gv in
+  let cv = t.c_mat.Stamp.c.Csr.v in
+  Array.iteri
+    (fun p s -> zvals.(s) <- Cx.mk gv.(s) (omega *. cv.(p)))
+    t.c_mat.Stamp.slot;
+  let replan () =
+    let p =
+      Linsys.csplu_plan
+        ~ordering:(fun () -> Stamp.ordering t.circuit)
+        t.pat zvals
+    in
+    t.plan <- Some p;
+    p
   in
-  let plan =
-    match t.plan with
-    | Some p -> p
-    | None ->
-      let p = Linsys.csplu_plan t.pat zvals in
-      t.plan <- Some p;
-      p
-  in
+  let plan = match t.plan with Some p -> p | None -> replan () in
   match Csplu.factorize plan t.pat zvals with
   | f -> f
-  | exception Csplu.Singular _ ->
-    let p = Linsys.csplu_plan t.pat zvals in
-    t.plan <- Some p;
-    Csplu.factorize p t.pat zvals
+  | exception Csplu.Singular _ -> Csplu.factorize (replan ()) t.pat zvals
 
 let rhs_of_input t input =
   let n = Circuit.size t.circuit in

@@ -52,32 +52,34 @@ type rfact = Fdense of Lu.t | Fsparse of Splu.t
    point. *)
 
 let plan_cache : Splu.plan Lru.t = Lru.create ~capacity:64 "plan"
-let cplan_cache : Csplu.plan Lru.t = Lru.create ~capacity:64 "plan"
+let cplan_cache : Splu.plan Lru.t = Lru.create ~capacity:64 "plan"
 
 let set_plan_cache_capacity n =
   Lru.set_capacity plan_cache n;
   Lru.set_capacity cplan_cache n
 
-let splu_plan ?(counter = "linsys.splu.plans") ?ordering pat =
-  let key = Plan_key.reals ~tag:"splu" pat pat.Csr.v in
-  match Lru.find plan_cache key with
+(* a plan constructed on a miss takes its ordering from [ordering]
+   (called only then), else analyzes the pattern itself *)
+let cached_plan cache key ?counter ?ordering pat build =
+  match Lru.find cache key with
   | Some p when Splu.plan_dim p = Csr.rows pat -> p
   | Some _ | None ->
-    let sym = Option.map (fun f -> f ()) ordering in
-    let p = Splu.plan ?sym pat in
-    Obs.count counter 1;
-    Lru.put plan_cache key p;
+    let p = build (Option.map (fun f -> f ()) ordering) in
+    Option.iter (fun c -> Obs.count c 1) counter;
+    Lru.put cache key p;
     p
 
-let csplu_plan ?counter pat zvals =
-  let key = Plan_key.complexes ~tag:"csplu" pat zvals in
-  match Lru.find cplan_cache key with
-  | Some p when Csplu.plan_dim p = Csr.rows pat -> p
-  | Some _ | None ->
-    let p = Csplu.plan pat zvals in
-    (match counter with Some c -> Obs.count c 1 | None -> ());
-    Lru.put cplan_cache key p;
-    p
+let splu_plan ?(counter = "linsys.splu.plans") ?ordering pat =
+  cached_plan plan_cache
+    (Plan_key.reals ~tag:"splu" pat pat.Csr.v)
+    ~counter ?ordering pat
+    (fun sym -> Splu.plan ?sym pat)
+
+let csplu_plan ?counter ?ordering pat zvals =
+  cached_plan cplan_cache
+    (Plan_key.complexes ~tag:"csplu" pat zvals)
+    ?counter ?ordering pat
+    (fun sym -> Csplu.plan ?sym pat zvals)
 
 (* the current sparse values as a dense matrix — the last resort when
    sparse pivoting dies on values the dense code can still eliminate *)
@@ -154,10 +156,10 @@ let factorize ?(allow_degradation = true) sys =
 let solve fact b =
   match fact with Fdense lu -> Lu.solve lu b | Fsparse f -> Splu.solve f b
 
-let solve_inplace fact b =
+let solve_into fact ~scratch b x =
   match fact with
-  | Fdense lu -> Lu.solve_inplace lu b
-  | Fsparse f -> Splu.solve_inplace f ~scratch:(Array.make (Splu.dim f) 0.0) b
+  | Fdense lu -> Lu.solve_into lu b x
+  | Fsparse f -> Splu.solve_into f ~scratch b x
 
 let solve_transpose fact b =
   match fact with

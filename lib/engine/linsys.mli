@@ -62,19 +62,26 @@ type rfact = Fdense of Lu.t | Fsparse of Splu.t
     the exact pattern and the exact planning values ({!Plan_key}), so a
     hit returns precisely the plan a fresh analysis would have computed
     — bit-identical replays, observable only as speed and as fewer
-    ["symbolic.plan"] counter increments.  Hits/misses/evictions are
-    the ["cache.plan.*"] counters (docs/serving.md). *)
+    ["symbolic.plan"] counter increments.  Real and complex plans are
+    both {!Splu.plan}s and share one lookup; they live in two caches of
+    the same capacity so neither kind evicts the other.  A constructed
+    plan takes its column order from [ordering] when given (called only
+    on a miss) — the engines pass {!Stamp.ordering}, the one analysis
+    per circuit topology — else analyzes the pattern itself.
+    Hits/misses/evictions are the ["cache.plan.*"] counters
+    (docs/serving.md). *)
 
 val splu_plan :
   ?counter:string -> ?ordering:(unit -> Symbolic.t) -> Csr.t -> Splu.plan
 (** Plan (or fetch a cached plan for) a real pattern on its current
-    values.  A constructed plan takes its symbolic analysis from
-    [ordering] when given (called only then), else analyzes [pat].
-    [counter] (default ["linsys.splu.plans"]) is bumped only when a
-    plan is actually constructed. *)
+    values.  [counter] (default ["linsys.splu.plans"]) is bumped only
+    when a plan is actually constructed. *)
 
-val csplu_plan : ?counter:string -> Csr.t -> Cx.t array -> Csplu.plan
-(** The complex twin, for the AC/LPTV [Csplu] planning sites. *)
+val csplu_plan :
+  ?counter:string -> ?ordering:(unit -> Symbolic.t) -> Csr.t ->
+  Cx.t array -> Splu.plan
+(** The complex twin, for the AC/LPTV [Csplu] planning sites; no
+    counter unless [counter] is given. *)
 
 val set_plan_cache_capacity : int -> unit
 (** Resize both plan caches (default 64 entries each); 0 disables
@@ -93,5 +100,10 @@ val factorize : ?allow_degradation:bool -> rsys -> rfact
     oracle on the same values. *)
 
 val solve : rfact -> Vec.t -> Vec.t
-val solve_inplace : rfact -> Vec.t -> unit
+
+val solve_into : rfact -> scratch:Vec.t -> Vec.t -> Vec.t -> unit
+(** [solve_into f ~scratch b x] solves [A·x = b] without allocating;
+    [b], [x] and [scratch] must be three distinct arrays of the
+    system's size. *)
+
 val solve_transpose : rfact -> Vec.t -> Vec.t

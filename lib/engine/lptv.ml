@@ -99,22 +99,23 @@ let build ?(domains = 1) ?(policy = Retry.default) ?budget (pss : Pss.t)
   Obs.count "lptv.steps" m;
   let h = pss.Pss.period /. float_of_int m in
   let omega = 2.0 *. Float.pi *. f_offset in
-  let c_over_h = Mat.scale (1.0 /. h) pss.Pss.c_mat in
   Domain_pool.with_pool domains @@ fun pool ->
   let solvers =
     Obs.span "lptv.factor_steps" @@ fun () ->
     let pat = Stamp.pattern circuit in
     let nnz = Csr.nnz pat in
-    (* C values aligned position-for-position with the pattern *)
-    let c_vals = Array.make nnz 0.0 in
-    Stamp.stamp_c circuit ~add:(fun i j v ->
-        let p = Csr.index pat i j in
-        c_vals.(p) <- c_vals.(p) +. v);
-    (* M_k = C(1/h + jω) + G(t_k) *)
+    let cv = pss.Pss.c_mat.Stamp.c.Csr.v in
+    let slot = pss.Pss.c_mat.Stamp.slot in
+    (* M_k = C(1/h + jω) + G(t_k); ω·0 off C keeps the sign a zero C
+       entry would give *)
     let zvals_at gcsr zvals =
       let gv = gcsr.Csr.v in
       for p = 0 to nnz - 1 do
-        zvals.(p) <- Cx.mk (gv.(p) +. (c_vals.(p) /. h)) (omega *. c_vals.(p))
+        zvals.(p) <- Cx.mk gv.(p) (omega *. 0.0)
+      done;
+      for p = 0 to Array.length slot - 1 do
+        let s = slot.(p) in
+        zvals.(s) <- Cx.mk (gv.(s) +. (cv.(p) /. h)) (omega *. cv.(p))
       done
     in
     let stamp_into g_buf gcsr k =
@@ -129,7 +130,9 @@ let build ?(domains = 1) ?(policy = Retry.default) ?budget (pss : Pss.t)
       let zvals = Array.make nnz Cx.zero in
       stamp_into g_buf gcsr 1;
       zvals_at gcsr zvals;
-      Linsys.csplu_plan ~counter:"lptv.csplu.plans" pat zvals
+      Linsys.csplu_plan ~counter:"lptv.csplu.plans"
+        ~ordering:(fun () -> Stamp.ordering circuit)
+        pat zvals
     in
     (* the m factorizations are independent; each lane stamps into its
        own workspace (a shared stamp buffer would be a data race).  A
@@ -156,7 +159,8 @@ let build ?(domains = 1) ?(policy = Retry.default) ?budget (pss : Pss.t)
   (* matrix-free wrap: no Φ(ω), no dense factorization — build cost is
      the factor_steps phase alone, O(m·nnz) *)
   Obs.count "lptv.wrap.krylov" 1;
-  { pss; f_offset; n; m; cmul = Csr.of_dense c_over_h; solvers;
+  let cmul = Csr.scale (1.0 /. h) pss.Pss.c_mat.Stamp.c in
+  { pss; f_offset; n; m; cmul; solvers;
     wrap = { dense = None; lock = Mutex.create () } }
 
 (* GMRES matrix-vector products for the wrap.  [src] is

@@ -18,7 +18,7 @@ let period_sensitivities (osc : Pss_osc.t) =
   let n = Circuit.size circuit in
   let m = pss.Pss.steps in
   let h = pss.Pss.period /. float_of_int m in
-  let c_over_h = Mat.scale (1.0 /. h) pss.Pss.c_mat in
+  let c_over_h = Csr.scale (1.0 /. h) pss.Pss.c_mat.Stamp.c in
   (* augmented shooting Jacobian at the solution *)
   let xdot_t =
     Vec.scale (1.0 /. h) (Vec.sub pss.Pss.states.(m) pss.Pss.states.(m - 1))
@@ -44,7 +44,8 @@ let period_sensitivities (osc : Pss_osc.t) =
   for k = m - 1 downto 1 do
     (* A_k uses M_{k+1} = step_facts.(k) *)
     let tmp = Linsys.solve_transpose pss.Pss.step_facts.(k) !w in
-    w := Mat.tmul_vec c_over_h tmp;
+    w := Vec.create n;
+    Csr.tmul_vec_into c_over_h tmp !w;
     lambdas.(k) <- Linsys.solve_transpose pss.Pss.step_facts.(k - 1) !w
   done;
   let params = Circuit.mismatch_params circuit in

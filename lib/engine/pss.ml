@@ -4,7 +4,7 @@ type t = {
   steps : int;
   times : float array;
   states : Vec.t array;
-  c_mat : Mat.t;
+  c_mat : Stamp.cmat;
   sys : Linsys.rsys;
   step_facts : Linsys.rfact array;
   mutable monodromy : Mat.t option;
@@ -19,14 +19,22 @@ exception No_convergence of string
 let accumulate_monodromy ~c_mat ~h ~facts n =
   Obs.count "pss.monodromy.dense" 1;
   let m = Mat.identity n in
+  let s = 1.0 /. h in
+  let col = Vec.create n and rhs = Vec.create n in
+  let scratch = Vec.create n and x = Vec.create n in
   Array.iter
     (fun fact ->
       for j = 0 to n - 1 do
-        let col = Mat.col m j in
-        let rhs = Vec.scale (1.0 /. h) (Mat.mul_vec c_mat col) in
-        Linsys.solve_inplace fact rhs;
         for i = 0 to n - 1 do
-          Mat.set m i j rhs.(i)
+          col.(i) <- Mat.get m i j
+        done;
+        Csr.mul_vec_into c_mat.Stamp.c col rhs;
+        for i = 0 to n - 1 do
+          rhs.(i) <- s *. rhs.(i)
+        done;
+        Linsys.solve_into fact ~scratch rhs x;
+        for i = 0 to n - 1 do
+          Mat.set m i j x.(i)
         done
       done)
     facts;
@@ -39,7 +47,7 @@ let monodromy t =
     let h = t.period /. float_of_int t.steps in
     let m =
       accumulate_monodromy ~c_mat:t.c_mat ~h ~facts:t.step_facts
-        (Mat.rows t.c_mat)
+        (Csr.rows t.c_mat.Stamp.c)
     in
     t.monodromy <- Some m;
     m
@@ -49,13 +57,12 @@ let monodromy t =
 let sweep ~circuit ~sys ~c_mat ~tran_options ~t0 ~period ~steps ~x0 ?budget
     ?policy () =
   let h = period /. float_of_int steps in
-  let c_csr = Csr.of_dense c_mat in
   let times = Array.init (steps + 1) (fun k -> t0 +. (h *. float_of_int k)) in
   let states = Array.make (steps + 1) x0 in
   let facts =
     Array.init steps (fun k ->
         let r =
-          Tran.step ~options:tran_options ~circuit ~sys ~c_mat:c_csr
+          Tran.step ~options:tran_options ~circuit ~sys ~c_mat
             ~x_prev:states.(k) ~t_prev:times.(k) ~t_next:times.(k + 1) ?budget
             ?policy ()
         in
@@ -87,13 +94,12 @@ let sweep ~circuit ~sys ~c_mat ~tran_options ~t0 ~period ~steps ~x0 ?budget
    independently, so a real [r] keeps the whole Krylov space real. *)
 let krylov_delta ~c_over_h ~facts ~gws n (r : Vec.t) =
   Obs.span "pss.krylov" @@ fun () ->
-  let tmp = Vec.create n in
+  let tmp = Vec.create n and scratch = Vec.create n in
   let phi_apply v =
     Array.iter
       (fun fact ->
         Csr.mul_vec_into c_over_h v tmp;
-        Linsys.solve_inplace fact tmp;
-        Vec.blit tmp v)
+        Linsys.solve_into fact ~scratch tmp v)
       facts
   in
   let vre = Vec.create n and vim = Vec.create n in
@@ -119,7 +125,7 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7)
     ~period =
   Obs.span "pss.solve" @@ fun () ->
   Obs.count "pss.solves" 1;
-  let c_mat = Stamp.c_matrix circuit in
+  let c_mat = Stamp.cmat circuit in
   let sys = Linsys.make circuit in
   let tran_options = Tran.default_options in
   let x_init =
@@ -154,7 +160,7 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7)
   in
   let solve_with steps =
     let h = period /. float_of_int steps in
-    let c_over_h = Csr.of_dense (Mat.scale (1.0 /. h) c_mat) in
+    let c_over_h = Csr.scale (1.0 /. h) c_mat.Stamp.c in
     let x0 = ref (Vec.copy x_init) in
     let rhist = ref [] in
     let rec iterate iter =

@@ -15,7 +15,7 @@ type t = {
   steps : int;
   times : float array;  (** length steps+1 *)
   states : Vec.t array; (** length steps+1; [states.(steps) ≈ states.(0)] *)
-  c_mat : Mat.t;
+  c_mat : Stamp.cmat;
   sys : Linsys.rsys;    (** step-matrix storage the factorizations share *)
   step_facts : Linsys.rfact array;
       (** length steps; factorization of C/h + G at step k+1 *)
@@ -28,7 +28,7 @@ type t = {
 exception No_convergence of string
 
 val sweep :
-  circuit:Circuit.t -> sys:Linsys.rsys -> c_mat:Mat.t ->
+  circuit:Circuit.t -> sys:Linsys.rsys -> c_mat:Stamp.cmat ->
   tran_options:Tran.options -> t0:float -> period:float -> steps:int ->
   x0:Vec.t -> ?budget:Budget.t -> ?policy:Retry.policy -> unit ->
   float array * Vec.t array * Linsys.rfact array

@@ -48,7 +48,7 @@ let solve ?(steps = 200) ?(max_iter = 60) ?(tol = 1e-7) ?(settle_periods = 20.0)
     ?(policy = Retry.default) ?budget circuit ~anchor ~f_guess =
   Obs.span "pss_osc.solve" @@ fun () ->
   Obs.count "pss_osc.solves" 1;
-  let c_mat = Stamp.c_matrix circuit in
+  let c_mat = Stamp.cmat circuit in
   let sys = Linsys.make circuit in
   let x_start, period0 =
     Obs.span "pss_osc.warmup" @@ fun () ->

@@ -51,16 +51,17 @@ let step ~options ~circuit ~sys ~c_mat ~x_prev ~t_prev ~t_next ?budget ?policy
        done
      | _, Backward_euler | None, Trapezoidal -> ());
     List.iter (fun (row, value) -> g.(row) <- g.(row) +. value) forcing;
-    (* add C·(x - x_prev)/h and C/h *)
-    let cdx = Csr.mul_vec c_mat (Vec.sub x x_prev) in
+    (* add C·(x - x_prev)/h and, slot by slot, C/h *)
+    let c = c_mat.Stamp.c in
+    let cdx = Csr.mul_vec c (Vec.sub x x_prev) in
     for i = 0 to n - 1 do
       g.(i) <- g.(i) +. (cdx.(i) /. h)
     done;
-    let rp = c_mat.Csr.rp and ci = c_mat.Csr.ci and v = c_mat.Csr.v in
-    for i = 0 to Csr.rows c_mat - 1 do
-      for p = rp.(i) to rp.(i + 1) - 1 do
-        Csr.add sys.Linsys.pat i ci.(p) (v.(p) /. h)
-      done
+    let v = sys.Linsys.pat.Csr.v and cv = c.Csr.v in
+    let slot = c_mat.Stamp.slot in
+    for p = 0 to Array.length slot - 1 do
+      let s = slot.(p) in
+      v.(s) <- v.(s) +. (cv.(p) /. h)
     done
   in
   Newton.solve ~eval ~sys ~x0:x_prev ?budget ?policy
@@ -107,7 +108,7 @@ let run ?(options = default_options) ?(policy = Retry.default) ?budget ?x0
   Obs.span "tran.run" @@ fun () ->
   Obs.count "tran.runs" 1;
   let sys = Linsys.make circuit in
-  let c_mat = Csr.of_dense (Stamp.c_matrix circuit) in
+  let c_mat = Stamp.cmat circuit in
   let x0 =
     match x0 with
     | Some x -> Vec.copy x

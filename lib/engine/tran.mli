@@ -37,12 +37,13 @@ val run :
 
 val step :
   options:options -> circuit:Circuit.t -> sys:Linsys.rsys ->
-  c_mat:Csr.t -> x_prev:Vec.t -> t_prev:float -> t_next:float ->
+  c_mat:Stamp.cmat -> x_prev:Vec.t -> t_prev:float -> t_next:float ->
   ?budget:Budget.t -> ?policy:Retry.policy ->
   ?forcing:(int * float) list -> unit -> Newton.result
 (** One implicit integration step (exposed for the shooting solvers,
     which also need the Jacobian factorization at the solution).
     [sys] holds the step-matrix storage (build once with {!Linsys.make});
-    [c_mat] is the circuit's constant C matrix in CSR form.  [forcing] adds a sparse
-    constant term to the step residual — the hook the transient-noise
-    analysis injects its per-step noise currents through. *)
+    [c_mat] is the circuit's constant C matrix ({!Stamp.cmat}).
+    [forcing] adds a sparse constant term to the step residual — the
+    hook the transient-noise analysis injects its per-step noise
+    currents through. *)

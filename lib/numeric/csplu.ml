@@ -1,23 +1,10 @@
-(* Complex Gilbert–Peierls sparse LU with plan/replay, mirroring Splu.
-   L/U values live in split re/im float arrays so the hot loops run on
-   unboxed floats (the same trick Clu uses on its accumulators). *)
-
-type plan = {
-  n : int;
-  q : int array;
-  pinv : int array;
-  prow : int array;
-  up : int array;
-  ui : int array;
-  lp : int array;
-  li : int array;
-  cp : int array;
-  cri : int array;
-  cpos : int array;
-}
+(* Complex Gilbert–Peierls sparse LU: Splu's plan and plan
+   construction, with complex arithmetic.  L/U values live in split
+   re/im float arrays so the hot loops run on unboxed floats (the same
+   trick Clu uses on its accumulators). *)
 
 type t = {
-  plan : plan;
+  plan : Splu.plan;
   uxr : float array;
   uxi : float array;
   lxr : float array;
@@ -26,215 +13,69 @@ type t = {
   dxi : float array;
 }
 
-exception Singular of int
+exception Singular = Splu.Singular
 
-let plan_dim p = p.n
-let dim t = t.plan.n
+let dim t = t.plan.Splu.n
 
 let default_tol vals =
   let scale = Array.fold_left (fun a z -> Float.max a (Cx.abs z)) 0.0 vals in
   1e-13 *. Float.max scale 1e-300
 
-let build_colmap n (q : int array) (csr : Csr.t) =
-  let qinv = Array.make n 0 in
-  Array.iteri (fun k c -> qinv.(c) <- k) q;
-  let cp = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    for p = csr.Csr.rp.(i) to csr.Csr.rp.(i + 1) - 1 do
-      let jp = qinv.(csr.Csr.ci.(p)) in
-      cp.(jp + 1) <- cp.(jp + 1) + 1
-    done
-  done;
-  for j = 1 to n do
-    cp.(j) <- cp.(j) + cp.(j - 1)
-  done;
-  let next = Array.copy cp in
-  let nnz = Csr.nnz csr in
-  let cri = Array.make (Stdlib.max nnz 1) 0 in
-  let cpos = Array.make (Stdlib.max nnz 1) 0 in
-  for i = 0 to n - 1 do
-    for p = csr.Csr.rp.(i) to csr.Csr.rp.(i + 1) - 1 do
-      let jp = qinv.(csr.Csr.ci.(p)) in
-      cri.(next.(jp)) <- i;
-      cpos.(next.(jp)) <- p;
-      next.(jp) <- next.(jp) + 1
-    done
-  done;
-  (cp, cri, cpos)
-
-let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cx.t array) =
-  let n = Csr.rows csr in
-  if Csr.cols csr <> n then invalid_arg "Csplu.plan: matrix not square";
+let plan ?ordering ?sym ?pivot_tol (csr : Csr.t) (vals : Cx.t array) =
   if Array.length vals <> Csr.nnz csr then
     invalid_arg "Csplu.plan: values/pattern length mismatch";
-  let sym = Symbolic.analyze ?ordering csr in
-  let q = Array.copy sym.Symbolic.q in
-  let cp, cri, cpos = build_colmap n q csr in
+  let b = Splu.start ?ordering ?sym ~planes:2 csr in
+  let pl = b.Splu.p in
   let tol =
     match pivot_tol with Some t -> t | None -> default_tol vals
   in
-  let pinv = Array.make n (-1) in
-  let prow = Array.make n 0 in
-  let lp = Array.make (n + 1) 0 in
-  let up = Array.make (n + 1) 0 in
-  let cap0 = Stdlib.max (4 * n) 16 in
-  let li = ref (Array.make cap0 0) in
-  let lxr = ref (Array.make cap0 0.0) in
-  let lxi = ref (Array.make cap0 0.0) in
-  let ln = ref 0 in
-  let ui = ref (Array.make cap0 0) in
-  let un = ref 0 in
-  let push_l r zr zi =
-    if !ln = Array.length !li then begin
-      let cap' = 2 * Array.length !li in
-      let li' = Array.make cap' 0 in
-      let lxr' = Array.make cap' 0.0 and lxi' = Array.make cap' 0.0 in
-      Array.blit !li 0 li' 0 !ln;
-      Array.blit !lxr 0 lxr' 0 !ln;
-      Array.blit !lxi 0 lxi' 0 !ln;
-      li := li';
-      lxr := lxr';
-      lxi := lxi'
-    end;
-    !li.(!ln) <- r;
-    !lxr.(!ln) <- zr;
-    !lxi.(!ln) <- zi;
-    incr ln
-  in
-  let push_u k =
-    if !un = Array.length !ui then begin
-      let cap' = 2 * Array.length !ui in
-      let ui' = Array.make cap' 0 in
-      Array.blit !ui 0 ui' 0 !un;
-      ui := ui'
-    end;
-    !ui.(!un) <- k;
-    incr un
-  in
-  let xr = Array.make (Stdlib.max n 1) 0.0 in
-  let xi = Array.make (Stdlib.max n 1) 0.0 in
-  let mark = Array.make (Stdlib.max n 1) (-1) in
-  let dstack = Array.make (Stdlib.max n 1) 0 in
-  let cstack = Array.make (Stdlib.max n 1) 0 in
-  let topo = Array.make (Stdlib.max n 1) 0 in
-  let reach = Array.make (Stdlib.max n 1) 0 in
-  for j = 0 to n - 1 do
-    lp.(j) <- !ln;
-    up.(j) <- !un;
-    let c = q.(j) in
-    let nreach = ref 0 and ntopo = ref 0 in
-    for p = cp.(j) to cp.(j + 1) - 1 do
-      let i0 = cri.(p) in
-      if mark.(i0) <> j then begin
-        mark.(i0) <- j;
-        dstack.(0) <- i0;
-        cstack.(0) <- (if pinv.(i0) >= 0 then lp.(pinv.(i0)) else 0);
-        let sp = ref 1 in
-        while !sp > 0 do
-          let u = dstack.(!sp - 1) in
-          let k = pinv.(u) in
-          if k < 0 then begin
-            decr sp;
-            reach.(!nreach) <- u;
-            incr nreach
-          end
-          else begin
-            let cend = lp.(k + 1) in
-            let cptr = ref cstack.(!sp - 1) in
-            let pushed = ref false in
-            while (not !pushed) && !cptr < cend do
-              let child = !li.(!cptr) in
-              incr cptr;
-              if mark.(child) <> j then begin
-                mark.(child) <- j;
-                cstack.(!sp - 1) <- !cptr;
-                dstack.(!sp) <- child;
-                cstack.(!sp) <-
-                  (if pinv.(child) >= 0 then lp.(pinv.(child)) else 0);
-                incr sp;
-                pushed := true
-              end
-            done;
-            if not !pushed then begin
-              decr sp;
-              topo.(!ntopo) <- k;
-              incr ntopo;
-              reach.(!nreach) <- u;
-              incr nreach
-            end
-          end
-        done
-      end
+  let xr = Array.make (Stdlib.max pl.n 1) 0.0 in
+  let xi = Array.make (Stdlib.max pl.n 1) 0.0 in
+  let reach = b.Splu.reach in
+  for j = 0 to pl.n - 1 do
+    Splu.reach b j;
+    for p = pl.cp.(j) to pl.cp.(j + 1) - 1 do
+      let z = vals.(pl.cpos.(p)) and r = pl.cri.(p) in
+      xr.(r) <- z.Cx.re;
+      xi.(r) <- z.Cx.im
     done;
-    for p = cp.(j) to cp.(j + 1) - 1 do
-      let z = vals.(cpos.(p)) in
-      xr.(cri.(p)) <- z.Cx.re;
-      xi.(cri.(p)) <- z.Cx.im
-    done;
-    for ti = !ntopo - 1 downto 0 do
-      let k = topo.(ti) in
-      push_u k;
-      let r0 = prow.(k) in
+    let li = b.Splu.lrows in
+    let lxr = b.Splu.lvals.(0) and lxi = b.Splu.lvals.(1) in
+    for ti = b.Splu.ntopo - 1 downto 0 do
+      let k = b.Splu.topo.(ti) in
+      Splu.push_u b k;
+      let r0 = pl.prow.(k) in
       let kr = xr.(r0) and ki = xi.(r0) in
       if kr <> 0.0 || ki <> 0.0 then
-        for p = lp.(k) to lp.(k + 1) - 1 do
-          let r = !li.(p) in
-          let lr = !lxr.(p) and l_i = !lxi.(p) in
+        for p = pl.lp.(k) to pl.lp.(k + 1) - 1 do
+          let r = li.(p) in
+          let lr = lxr.(p) and l_i = lxi.(p) in
           xr.(r) <- xr.(r) -. ((lr *. kr) -. (l_i *. ki));
           xi.(r) <- xi.(r) -. ((lr *. ki) +. (l_i *. kr))
         done
     done;
-    let amax = ref 0.0 in
-    let arg = ref (-1) in
-    for ri = 0 to !nreach - 1 do
+    for ri = 0 to b.Splu.nreach - 1 do
       let r = reach.(ri) in
-      if pinv.(r) < 0 then begin
-        let a = Cx.abs (Cx.mk xr.(r) xi.(r)) in
-        if a > !amax then begin
-          amax := a;
-          arg := r
-        end
-      end
+      b.Splu.mag.(r) <- Cx.abs (Cx.mk xr.(r) xi.(r))
     done;
-    if !arg < 0 || !amax < tol then raise (Singular c);
-    let pr =
-      if
-        mark.(c) = j && pinv.(c) < 0
-        && Cx.abs (Cx.mk xr.(c) xi.(c)) >= Float.max (0.1 *. !amax) tol
-      then c
-      else !arg
-    in
-    pinv.(pr) <- j;
-    prow.(j) <- pr;
+    let pr = Splu.choose_pivot b j ~tol in
     let pv = Cx.mk xr.(pr) xi.(pr) in
-    for ri = 0 to !nreach - 1 do
+    for ri = 0 to b.Splu.nreach - 1 do
       let r = reach.(ri) in
-      if pinv.(r) < 0 then begin
+      if pl.pinv.(r) < 0 then begin
         let z = Cx.( /: ) (Cx.mk xr.(r) xi.(r)) pv in
-        push_l r z.Cx.re z.Cx.im
+        let s = Splu.push_l b r in
+        b.Splu.lvals.(0).(s) <- z.Cx.re;
+        b.Splu.lvals.(1).(s) <- z.Cx.im
       end
     done;
-    for ri = 0 to !nreach - 1 do
+    for ri = 0 to b.Splu.nreach - 1 do
       let r = reach.(ri) in
       xr.(r) <- 0.0;
       xi.(r) <- 0.0
     done
   done;
-  lp.(n) <- !ln;
-  up.(n) <- !un;
-  {
-    n;
-    q;
-    pinv;
-    prow;
-    up;
-    ui = Array.sub !ui 0 !un;
-    lp;
-    li = Array.sub !li 0 !ln;
-    cp;
-    cri;
-    cpos;
-  }
+  Splu.finish b
 
 let refactorize ?pivot_tol t (csr : Csr.t) (vals : Cx.t array) =
   let p = t.plan in
@@ -292,7 +133,7 @@ let refactorize ?pivot_tol t (csr : Csr.t) (vals : Cx.t array) =
     done
   done
 
-let factorize ?pivot_tol plan csr vals =
+let factorize ?pivot_tol (plan : Splu.plan) csr vals =
   let nl = Stdlib.max (Array.length plan.li) 1 in
   let nu = Stdlib.max (Array.length plan.ui) 1 in
   let nd = Stdlib.max plan.n 1 in
@@ -356,7 +197,7 @@ let solve_into t ~scratch b x =
   done
 
 let solve t b =
-  let n = t.plan.n in
+  let n = t.plan.Splu.n in
   let x = Array.make n Cx.zero in
   solve_into t ~scratch:(Array.make n Cx.zero) b x;
   x
@@ -400,7 +241,7 @@ let solve_transpose_into t ~scratch b x =
   done
 
 let solve_transpose t b =
-  let n = t.plan.n in
+  let n = t.plan.Splu.n in
   let x = Array.make n Cx.zero in
   solve_transpose_into t ~scratch:(Array.make n Cx.zero) b x;
   x

@@ -37,6 +37,7 @@ let add t i j x = t.v.(index t i j) <- t.v.(index t i j) +. x
 let add_at t p x = t.v.(p) <- t.v.(p) +. x
 let clear t = Array.fill t.v 0 (Array.length t.v) 0.0
 let copy t = { t with v = Array.copy t.v }
+let scale s t = { t with v = Array.map (fun x -> s *. x) t.v }
 
 let mul_vec_into t x y =
   if Array.length x <> t.nc || Array.length y <> t.nr then

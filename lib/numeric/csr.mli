@@ -46,6 +46,9 @@ val clear : t -> unit
 val copy : t -> t
 (** Same (physically shared) structure, fresh value array. *)
 
+val scale : float -> t -> t
+(** [scale s t] is [s·t] over the same (shared) structure. *)
+
 val mul_vec_into : t -> Vec.t -> Vec.t -> unit
 (** [mul_vec_into a x y] sets [y <- A·x]; [x] must not alias [y]. *)
 

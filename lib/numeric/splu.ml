@@ -64,7 +64,30 @@ let build_colmap n (q : int array) (csr : Csr.t) =
   done;
   (cp, cri, cpos)
 
-let plan ?ordering ?sym ?pivot_tol (csr : Csr.t) =
+(* Plan construction shared by the real and the complex elimination
+   (Csplu): the column map, the growable L/U patterns with their
+   plan-time L value planes, and the reach DFS.  The kernel scatters
+   its values, eliminates over [topo], picks the pivot and pushes
+   L(:,j); [finish] trims the patterns into a [plan]. *)
+type build = {
+  p : plan; (* n, q and the column map; pinv/prow/lp/up filled in place,
+               li/ui empty until [finish] *)
+  mutable lrows : int array; (* L pattern so far: original rows *)
+  mutable lvals : float array array; (* plan-time L values, per plane *)
+  mutable ln : int;
+  mutable ucols : int array; (* U pattern so far: pivot positions *)
+  mutable un : int;
+  mark : int array;
+  dstack : int array;
+  cstack : int array;
+  topo : int array; (* pivoted columns reached, in postorder *)
+  reach : int array; (* every row reached, in postorder *)
+  mag : float array; (* |x_r| of the reached rows, the pivot criterion *)
+  mutable ntopo : int;
+  mutable nreach : int;
+}
+
+let start ?ordering ?sym ~planes (csr : Csr.t) =
   let n = Csr.rows csr in
   if Csr.cols csr <> n then invalid_arg "Splu.plan: matrix not square";
   let sym =
@@ -72,167 +95,196 @@ let plan ?ordering ?sym ?pivot_tol (csr : Csr.t) =
   in
   let q = Array.copy sym.Symbolic.q in
   let cp, cri, cpos = build_colmap n q csr in
+  let cap0 = Stdlib.max (4 * n) 16 in
+  let work () = Array.make (Stdlib.max n 1) 0 in
+  {
+    p =
+      {
+        n;
+        q;
+        pinv = Array.make n (-1);
+        prow = Array.make n 0;
+        up = Array.make (n + 1) 0;
+        ui = [||];
+        lp = Array.make (n + 1) 0;
+        li = [||];
+        cp;
+        cri;
+        cpos;
+      };
+    lrows = Array.make cap0 0;
+    lvals = Array.init planes (fun _ -> Array.make cap0 0.0);
+    ln = 0;
+    ucols = Array.make cap0 0;
+    un = 0;
+    mark = Array.make (Stdlib.max n 1) (-1);
+    dstack = work ();
+    cstack = work ();
+    topo = work ();
+    reach = work ();
+    mag = Array.make (Stdlib.max n 1) 0.0;
+    ntopo = 0;
+    nreach = 0;
+  }
+
+let grow a len fill =
+  let a' = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 a' 0 len;
+  a'
+
+(* append row [r] to L(:,j) and return its slot in [lrows]/[lvals] *)
+let push_l b r =
+  if b.ln = Array.length b.lrows then begin
+    b.lrows <- grow b.lrows b.ln 0;
+    b.lvals <- Array.map (fun a -> grow a b.ln 0.0) b.lvals
+  end;
+  b.lrows.(b.ln) <- r;
+  b.ln <- b.ln + 1;
+  b.ln - 1
+
+let push_u b k =
+  if b.un = Array.length b.ucols then b.ucols <- grow b.ucols b.un 0;
+  b.ucols.(b.un) <- k;
+  b.un <- b.un + 1
+
+(* Open column [j]: the DFS reach of A(:,q.(j)) through the finished L
+   columns.  Children of a pivoted row (pivot position k) are the rows
+   of L(:,k); unpivoted rows are leaves.  Postorder of the pivoted
+   nodes, reversed, is a valid elimination order. *)
+let reach b j =
+  let pl = b.p in
+  pl.lp.(j) <- b.ln;
+  pl.up.(j) <- b.un;
+  let pinv = pl.pinv and lp = pl.lp and li = b.lrows and mark = b.mark in
+  let dstack = b.dstack and cstack = b.cstack in
+  let nreach = ref 0 and ntopo = ref 0 in
+  for p = pl.cp.(j) to pl.cp.(j + 1) - 1 do
+    let i0 = pl.cri.(p) in
+    if mark.(i0) <> j then begin
+      mark.(i0) <- j;
+      dstack.(0) <- i0;
+      cstack.(0) <- (if pinv.(i0) >= 0 then lp.(pinv.(i0)) else 0);
+      let sp = ref 1 in
+      while !sp > 0 do
+        let u = dstack.(!sp - 1) in
+        let k = pinv.(u) in
+        if k < 0 then begin
+          decr sp;
+          b.reach.(!nreach) <- u;
+          incr nreach
+        end
+        else begin
+          let cend = lp.(k + 1) in
+          let cptr = ref cstack.(!sp - 1) in
+          let pushed = ref false in
+          while (not !pushed) && !cptr < cend do
+            let child = li.(!cptr) in
+            incr cptr;
+            if mark.(child) <> j then begin
+              mark.(child) <- j;
+              cstack.(!sp - 1) <- !cptr;
+              dstack.(!sp) <- child;
+              cstack.(!sp) <-
+                (if pinv.(child) >= 0 then lp.(pinv.(child)) else 0);
+              incr sp;
+              pushed := true
+            end
+          done;
+          if not !pushed then begin
+            decr sp;
+            b.topo.(!ntopo) <- k;
+            incr ntopo;
+            b.reach.(!nreach) <- u;
+            incr nreach
+          end
+        end
+      done
+    end
+  done;
+  b.nreach <- !nreach;
+  b.ntopo <- !ntopo
+
+(* Threshold partial pivoting with diagonal preference over the
+   unpivoted rows of column [j]'s reach, on the magnitudes the kernel
+   left in [mag]; records and returns the pivot row. *)
+let choose_pivot b j ~tol =
+  let mag = b.mag and pinv = b.p.pinv in
+  let amax = ref 0.0 in
+  let arg = ref (-1) in
+  for ri = 0 to b.nreach - 1 do
+    let r = b.reach.(ri) in
+    if pinv.(r) < 0 then begin
+      let a = mag.(r) in
+      if a > !amax then begin
+        amax := a;
+        arg := r
+      end
+    end
+  done;
+  let c = b.p.q.(j) in
+  if !arg < 0 || !amax < tol then raise (Singular c);
+  let pr =
+    if
+      b.mark.(c) = j && pinv.(c) < 0
+      && mag.(c) >= Float.max (0.1 *. !amax) tol
+    then c
+    else !arg
+  in
+  pinv.(pr) <- j;
+  b.p.prow.(j) <- pr;
+  pr
+
+let finish b =
+  let n = b.p.n in
+  b.p.lp.(n) <- b.ln;
+  b.p.up.(n) <- b.un;
+  { b.p with ui = Array.sub b.ucols 0 b.un; li = Array.sub b.lrows 0 b.ln }
+
+let plan ?ordering ?sym ?pivot_tol (csr : Csr.t) =
+  let b = start ?ordering ?sym ~planes:1 csr in
+  let pl = b.p in
   let tol =
     match pivot_tol with Some t -> t | None -> default_tol csr
   in
-  let pinv = Array.make n (-1) in
-  let prow = Array.make n 0 in
-  let lp = Array.make (n + 1) 0 in
-  let up = Array.make (n + 1) 0 in
-  (* growable L/U pattern storage; lx holds the plan-time numeric L
-     needed to keep eliminating (discarded when the plan is done) *)
-  let cap0 = Stdlib.max (4 * n) 16 in
-  let li = ref (Array.make cap0 0) in
-  let lx = ref (Array.make cap0 0.0) in
-  let ln = ref 0 in
-  let ui = ref (Array.make cap0 0) in
-  let un = ref 0 in
-  let push_l r v =
-    if !ln = Array.length !li then begin
-      let cap' = 2 * Array.length !li in
-      let li' = Array.make cap' 0 and lx' = Array.make cap' 0.0 in
-      Array.blit !li 0 li' 0 !ln;
-      Array.blit !lx 0 lx' 0 !ln;
-      li := li';
-      lx := lx'
-    end;
-    !li.(!ln) <- r;
-    !lx.(!ln) <- v;
-    incr ln
-  in
-  let push_u k =
-    if !un = Array.length !ui then begin
-      let cap' = 2 * Array.length !ui in
-      let ui' = Array.make cap' 0 in
-      Array.blit !ui 0 ui' 0 !un;
-      ui := ui'
-    end;
-    !ui.(!un) <- k;
-    incr un
-  in
-  let x = Array.make (Stdlib.max n 1) 0.0 in
-  let mark = Array.make (Stdlib.max n 1) (-1) in
-  let dstack = Array.make (Stdlib.max n 1) 0 in
-  let cstack = Array.make (Stdlib.max n 1) 0 in
-  let topo = Array.make (Stdlib.max n 1) 0 in
-  let reach = Array.make (Stdlib.max n 1) 0 in
-  for j = 0 to n - 1 do
-    lp.(j) <- !ln;
-    up.(j) <- !un;
-    let c = q.(j) in
-    (* 1. pattern: DFS reach of A(:,c) through finished L columns.
-       Children of a pivoted row (pivot position k) are the rows of
-       L(:,k); unpivoted rows are leaves.  Postorder of the pivoted
-       nodes, reversed, is a valid elimination order. *)
-    let nreach = ref 0 and ntopo = ref 0 in
-    for p = cp.(j) to cp.(j + 1) - 1 do
-      let i0 = cri.(p) in
-      if mark.(i0) <> j then begin
-        mark.(i0) <- j;
-        dstack.(0) <- i0;
-        cstack.(0) <- (if pinv.(i0) >= 0 then lp.(pinv.(i0)) else 0);
-        let sp = ref 1 in
-        while !sp > 0 do
-          let u = dstack.(!sp - 1) in
-          let k = pinv.(u) in
-          if k < 0 then begin
-            decr sp;
-            reach.(!nreach) <- u;
-            incr nreach
-          end
-          else begin
-            let cend = lp.(k + 1) in
-            let cptr = ref cstack.(!sp - 1) in
-            let pushed = ref false in
-            while (not !pushed) && !cptr < cend do
-              let child = !li.(!cptr) in
-              incr cptr;
-              if mark.(child) <> j then begin
-                mark.(child) <- j;
-                cstack.(!sp - 1) <- !cptr;
-                dstack.(!sp) <- child;
-                cstack.(!sp) <-
-                  (if pinv.(child) >= 0 then lp.(pinv.(child)) else 0);
-                incr sp;
-                pushed := true
-              end
-            done;
-            if not !pushed then begin
-              decr sp;
-              topo.(!ntopo) <- k;
-              incr ntopo;
-              reach.(!nreach) <- u;
-              incr nreach
-            end
-          end
-        done
-      end
+  let x = Array.make (Stdlib.max pl.n 1) 0.0 in
+  for j = 0 to pl.n - 1 do
+    reach b j;
+    (* scatter values (x is all-zero between columns) *)
+    for p = pl.cp.(j) to pl.cp.(j + 1) - 1 do
+      x.(pl.cri.(p)) <- csr.Csr.v.(pl.cpos.(p))
     done;
-    (* 2. scatter values (x is all-zero between columns) *)
-    for p = cp.(j) to cp.(j + 1) - 1 do
-      x.(cri.(p)) <- csr.Csr.v.(cpos.(p))
-    done;
-    (* 3. numeric elimination in topological (reverse-postorder) order *)
-    for ti = !ntopo - 1 downto 0 do
-      let k = topo.(ti) in
-      push_u k;
-      let xk = x.(prow.(k)) in
+    (* numeric elimination in topological (reverse-postorder) order *)
+    let li = b.lrows and lx = b.lvals.(0) in
+    for ti = b.ntopo - 1 downto 0 do
+      let k = b.topo.(ti) in
+      push_u b k;
+      let xk = x.(pl.prow.(k)) in
       if xk <> 0.0 then
-        for p = lp.(k) to lp.(k + 1) - 1 do
-          let r = !li.(p) in
-          x.(r) <- x.(r) -. (!lx.(p) *. xk)
+        for p = pl.lp.(k) to pl.lp.(k + 1) - 1 do
+          let r = li.(p) in
+          x.(r) <- x.(r) -. (lx.(p) *. xk)
         done
     done;
-    (* 4. threshold partial pivoting with diagonal preference *)
-    let amax = ref 0.0 in
-    let arg = ref (-1) in
-    for ri = 0 to !nreach - 1 do
-      let r = reach.(ri) in
-      if pinv.(r) < 0 then begin
-        let a = Float.abs x.(r) in
-        if a > !amax then begin
-          amax := a;
-          arg := r
-        end
+    for ri = 0 to b.nreach - 1 do
+      let r = b.reach.(ri) in
+      b.mag.(r) <- Float.abs x.(r)
+    done;
+    let pr = choose_pivot b j ~tol in
+    let pv = x.(pr) in
+    (* record L(:,j) — every reached unpivoted row, zeros included,
+       so the pattern is stable under value changes — and clear x *)
+    for ri = 0 to b.nreach - 1 do
+      let r = b.reach.(ri) in
+      if pl.pinv.(r) < 0 then begin
+        let s = push_l b r in
+        b.lvals.(0).(s) <- x.(r) /. pv
       end
     done;
-    if !arg < 0 || !amax < tol then raise (Singular c);
-    let pr =
-      if
-        c < n && mark.(c) = j && pinv.(c) < 0
-        && Float.abs x.(c) >= Float.max (0.1 *. !amax) tol
-      then c
-      else !arg
-    in
-    pinv.(pr) <- j;
-    prow.(j) <- pr;
-    let pv = x.(pr) in
-    (* 5. record L(:,j) — every reached unpivoted row, zeros included,
-       so the pattern is stable under value changes *)
-    for ri = 0 to !nreach - 1 do
-      let r = reach.(ri) in
-      if pinv.(r) < 0 then push_l r (x.(r) /. pv)
-    done;
-    (* 6. clear x over the reach *)
-    for ri = 0 to !nreach - 1 do
-      x.(reach.(ri)) <- 0.0
+    for ri = 0 to b.nreach - 1 do
+      x.(b.reach.(ri)) <- 0.0
     done
   done;
-  lp.(n) <- !ln;
-  up.(n) <- !un;
-  {
-    n;
-    q;
-    pinv;
-    prow;
-    up;
-    ui = Array.sub !ui 0 !un;
-    lp;
-    li = Array.sub !li 0 !ln;
-    cp;
-    cri;
-    cpos;
-  }
+  finish b
 
 let refactorize ?pivot_tol t (csr : Csr.t) =
   let p = t.plan in
@@ -326,12 +378,6 @@ let solve t b =
   let x = Array.make n 0.0 in
   solve_into t ~scratch:(Array.make n 0.0) b x;
   x
-
-let solve_inplace t ~scratch b =
-  let n = t.plan.n in
-  let x = Array.make n 0.0 in
-  solve_into t ~scratch b x;
-  Array.blit x 0 b 0 n
 
 (* Aᵀ x = b  ⇔  U'ᵀ u = Qᵀ b (forward over U columns ascending),
    L'ᵀ w = u (backward over L columns descending), x.(prow.(k)) = w.(k). *)

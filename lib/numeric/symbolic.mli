@@ -17,11 +17,12 @@ type t = private {
 }
 
 val analyze : ?ordering:ordering -> Csr.t -> t
-(** Counted as ["symbolic.plan"] — every {!Csplu.plan}, and every
-    {!Splu.plan} not handed a [sym], passes through here once, so the
+(** Counted as ["symbolic.plan"] — every {!Splu.plan} or
+    {!Csplu.plan} not handed a [sym] passes through here once, so the
     counter measures symbolic analyses actually performed (a warm plan
-    cache, or a {!Splu.plan} reusing an earlier analysis, shows fewer
-    increments).
+    cache, or a plan reusing an earlier analysis such as
+    [Stamp.ordering], shows fewer increments).  The engines plan on
+    [Stamp.ordering], so a circuit topology counts one analysis.
 
     [analyze pat] computes an ordering for the square pattern [pat]
     (default [Rcm]).  Raises [Invalid_argument] on non-square input. *)

@@ -243,13 +243,35 @@ let test_c_matrix () =
   Builder.capacitor b "C2" "b" "0" 2e-12;
   Builder.inductor b "L1" "b" "0" 1e-9;
   let c = Builder.finish b in
-  let cm = Stamp.c_matrix c in
+  let cm = Stamp.cmat c in
   let ra = Circuit.node_row c "a" and rb = Circuit.node_row c "b" in
-  check_float ~eps:1e-20 "caa" 1e-12 (Mat.get cm ra ra);
-  check_float ~eps:1e-20 "cab" (-1e-12) (Mat.get cm ra rb);
-  check_float ~eps:1e-20 "cbb" 3e-12 (Mat.get cm rb rb);
+  check_float ~eps:1e-20 "caa" 1e-12 (Csr.get cm.Stamp.c ra ra);
+  check_float ~eps:1e-20 "cab" (-1e-12) (Csr.get cm.Stamp.c ra rb);
+  check_float ~eps:1e-20 "cbb" 3e-12 (Csr.get cm.Stamp.c rb rb);
   let br = Circuit.branch_row c "L1" in
-  check_float ~eps:1e-20 "inductor row" (-1e-9) (Mat.get cm br br)
+  check_float ~eps:1e-20 "inductor row" (-1e-9) (Csr.get cm.Stamp.c br br);
+  (* the dense reference, stamped here: the sparse C holds exactly its
+     nonzeros, and each slot is that entry's place in the pattern *)
+  let n = Circuit.size c in
+  let dense = Mat.create n n in
+  Stamp.stamp_c c ~add:(Mat.add_to dense);
+  let nonzeros = ref 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if Mat.get dense i j <> 0.0 then incr nonzeros;
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "C(%d,%d)" i j) (Mat.get dense i j)
+        (Csr.get cm.Stamp.c i j)
+    done
+  done;
+  Alcotest.(check int) "only nonzeros stored" !nonzeros (Csr.nnz cm.Stamp.c);
+  let pat = Stamp.pattern c in
+  for i = 0 to n - 1 do
+    for p = cm.Stamp.c.Csr.rp.(i) to cm.Stamp.c.Csr.rp.(i + 1) - 1 do
+      Alcotest.(check int) "slot" (Csr.index pat i cm.Stamp.c.Csr.ci.(p))
+        cm.Stamp.slot.(p)
+    done
+  done
 
 let test_injection_fd () =
   (* injection columns = ∂g/∂δ: check against finite differences through

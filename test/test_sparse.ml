@@ -227,6 +227,45 @@ let test_csplu_vs_dense () =
       (!terr < 1e-8 *. !scale)
   done
 
+(* Csplu runs Splu's plan construction with complex arithmetic: on
+   values whose imaginary parts are all zero it must choose exactly the
+   real plan (same order, pivots and L/U pattern) and its solutions'
+   real parts must be Splu's to the bit.  Random diagonals are dropped
+   so pivots also land off the diagonal. *)
+let prop_csplu_real_plan =
+  QCheck.Test.make ~count:60
+    ~name:"Csplu on zero-imaginary values replays Splu bit for bit"
+    QCheck.(pair (int_bound 10_000) (int_range 1 25))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let m = random_sparse rng n ~fill:0.3 in
+      for i = 0 to n - 1 do
+        if Rng.uniform rng < 0.3 then Mat.set m i i 0.0
+      done;
+      let c = Csr.of_dense m in
+      let vals = Array.map Cx.re c.Csr.v in
+      let attempt f =
+        match f () with p -> Ok p | exception Splu.Singular k -> Error k
+      in
+      match
+        (attempt (fun () -> Splu.plan c), attempt (fun () -> Csplu.plan c vals))
+      with
+      | Error k, Error k' -> k = k'
+      | Ok p, Ok cp ->
+        let f = Splu.factorize p c and cf = Csplu.factorize cp c vals in
+        let b = Array.init n (fun _ -> Rng.uniform_range rng (-1.0) 1.0) in
+        let bits (x : Vec.t) (z : Cvec.t) =
+          Array.for_all2
+            (fun a (w : Cx.t) ->
+              Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float w.Cx.re))
+            x z
+        in
+        p = cp
+        && bits (Splu.solve f b) (Csplu.solve cf (Cvec.of_real b))
+        && bits (Splu.solve_transpose f b)
+             (Csplu.solve_transpose cf (Cvec.of_real b))
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 (* ------------------------------------ engine-level parity (QCheck) *)
 
 (* Random RC ladder behind a voltage source (the branch row gives the
@@ -375,6 +414,42 @@ let test_pnoise_parity () =
         true (worst < 1e-9))
     [ 6; 12 ]
 
+(* A complex plan orders its pattern with the circuit's one memoized
+   analysis (Stamp.ordering), as the real plans do: a PSS + LPTV build,
+   and an operating point + AC sweep, each run Symbolic.analyze once
+   per circuit topology.  The plan cache is off so every plan is
+   actually constructed. *)
+let test_one_analysis_per_topology () =
+  Obs.enable ();
+  Linsys.set_plan_cache_capacity 0;
+  Fun.protect
+    ~finally:(fun () ->
+      Linsys.set_plan_cache_capacity 64;
+      Obs.disable ())
+  @@ fun () ->
+  let analyses f =
+    let before = Obs.counter_value "symbolic.plan" in
+    f ();
+    Obs.counter_value "symbolic.plan" - before
+  in
+  let params = Strongarm.default_params in
+  let comparator = Strongarm.testbench ~params () in
+  Alcotest.(check int) "comparator PSS + Lptv.build" 1
+    (analyses (fun () ->
+         let pss =
+           Pss.solve ~steps:100 comparator ~period:params.Strongarm.clk_period
+         in
+         ignore (Lptv.build pss ~f_offset:1.0 : Lptv.t)));
+  let rc = Builder.finish (random_mna_circuit (Rng.create 3) 5) in
+  Alcotest.(check int) "Ac.prepare + two frequencies" 1
+    (analyses (fun () ->
+         let ac = Ac.prepare rc in
+         List.iter
+           (fun freq ->
+             ignore
+               (Ac.transfer ac ~freq ~input:(Ac.Vsource "VDD") ~output:"n5"))
+           [ 1e3; 1e6 ]))
+
 let () =
   Alcotest.run "sparse"
     [
@@ -404,7 +479,12 @@ let () =
           Alcotest.test_case "singular detection" `Quick test_splu_singular;
         ] );
       ( "csplu",
-        [ Alcotest.test_case "solve vs dense" `Quick test_csplu_vs_dense ] );
+        [
+          Alcotest.test_case "solve vs dense" `Quick test_csplu_vs_dense;
+          QCheck_alcotest.to_alcotest prop_csplu_real_plan;
+          Alcotest.test_case "one analysis per topology" `Quick
+            test_one_analysis_per_topology;
+        ] );
       ( "engine parity",
         QCheck_alcotest.to_alcotest prop_dc_parity
         :: QCheck_alcotest.to_alcotest prop_tran_parity
